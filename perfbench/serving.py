@@ -203,11 +203,22 @@ def bulk_end_to_end(ctx: ServeContext, result: LoadResult) -> tuple[dict, dict]:
 
 
 def interactive_schedule(ctx: ServeContext, rate: float, seconds: float, step: int):
+    """Due times and requests of one offered rate.
+
+    Each release gets its share of the requests by ``INTERACTIVE_WEIGHTS``
+    (largest remainders), in seeded order, and cycles through its batches
+    in a seeded permutation, so every seed offers the same mix.
+    """
     rng = np.random.default_rng([ctx.seed, 31, step])
     due = poisson_schedule(rate, seconds, rng)
-    targets = rng.choice(len(ctx.pool), size=len(due), p=INTERACTIVE_WEIGHTS)
-    batches = rng.integers(BATCHES_PER_RELEASE, size=len(due))
-    return [ctx.pool[t][j] for t, j in zip(targets, batches)], due, rng.random(len(due))
+    share = np.asarray(INTERACTIVE_WEIGHTS) * len(due)
+    counts = np.floor(share).astype(int)
+    counts[np.argsort(counts - share)[: len(due) - counts.sum()]] += 1
+    targets = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    batches = np.empty(len(due), dtype=int)
+    for t, count in enumerate(counts):
+        batches[targets == t] = np.resize(rng.permutation(BATCHES_PER_RELEASE), count)
+    return [ctx.pool[t][j] for t, j in zip(targets, batches)], due
 
 
 def step_verdict(result: LoadResult) -> dict:
@@ -234,8 +245,8 @@ def measure_interactive(ctx: ServeContext, seconds: float, tally: Tally,
 
 def run_rate(ctx: ServeContext, rate: float, seconds: float, step: int, tally: Tally,
              span=None) -> LoadResult:
-    requests, due, pick = interactive_schedule(ctx, rate, seconds, step)
-    return open_loop(ctx.server.port, requests, due, pick, CONNECTIONS, tally, span=span)
+    requests, due = interactive_schedule(ctx, rate, seconds, step)
+    return open_loop(ctx.server.port, requests, due, CONNECTIONS, tally, span=span)
 
 
 def measure_base_rate(ctx: ServeContext, seconds: float, tally: Tally, span=None) -> LoadResult:
