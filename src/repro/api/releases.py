@@ -73,12 +73,11 @@ class SpatialRelease(Release):
 class SpatialTreeRelease(SpatialRelease):
     """A released hierarchical synopsis (PrivTree, SimpleTree, k-d tree).
 
-    Backed by either the pointer-based :class:`HistogramTree` or a
-    pre-compiled :class:`~repro.spatial.flat.FlatHistogram` (the v2 binary
-    artifacts hand over mmap-backed flat arrays).  Queries always run on
-    the flat engine; the pointer tree is materialized lazily on first
-    :attr:`tree` access, so an mmap-loaded release answers workloads
-    without ever rebuilding node objects.
+    Backed by a :class:`HistogramTree`, given directly or as a compiled
+    :class:`~repro.spatial.flat.FlatHistogram` (PrivTree fits and the v2
+    binary artifacts hand over flat arrays, mmap-backed for the latter).
+    Queries always run on the flat engine; pointer nodes are built only if
+    a caller reads ``release.tree.root``.
     """
 
     kind = "spatial-tree"
@@ -92,51 +91,33 @@ class SpatialTreeRelease(SpatialRelease):
         flat: "FlatHistogram | None" = None,
     ) -> None:
         super().__init__(method=method, epsilon_spent=epsilon_spent)
-        if tree is None and flat is None:
-            raise ValueError("SpatialTreeRelease needs a tree or a flat synopsis")
-        self._tree = tree
-        self._flat = flat
-
-    @property
-    def tree(self) -> HistogramTree:
-        """The pointer-based tree (materialized from the flat form on demand)."""
-        if self._tree is None:
-            self._tree = self._flat.to_tree()
-            self._tree._flat = self._flat  # share the compiled engine
-        return self._tree
+        if tree is None:
+            if flat is None:
+                raise ValueError("SpatialTreeRelease needs a tree or a flat synopsis")
+            tree = flat.to_tree()
+        self.tree = tree
 
     def flat(self) -> "FlatHistogram":
         """The compiled flat synopsis engine (cached)."""
-        if self._flat is None:
-            self._flat = self._tree.flat()
-        return self._flat
+        return self.tree.flat()
 
     @property
     def size(self) -> int:
-        if self._tree is not None:
-            return self._tree.size
-        return self._flat.size
+        return self.tree.size
 
     @property
     def leaf_count(self) -> int:
         """Number of leaves of the released tree."""
-        if self._tree is not None:
-            return self._tree.leaf_count
-        return self._flat.leaf_count
+        return self.tree.leaf_count
 
     @property
     def height(self) -> int:
         """Height of the released tree."""
-        if self._tree is not None:
-            return self._tree.height
-        return self._flat.height
+        return self.tree.height
 
     @property
     def query_domain(self) -> Box:
-        if self._tree is not None:
-            return self._tree.root.box
-        flat = self._flat
-        return Box.from_arrays(flat.lows[0], flat.highs[0])
+        return self.tree.domain
 
     def range_count(self, box: Box) -> float:
         # Answered by the compiled flat synopsis; the pointer-based

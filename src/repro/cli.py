@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+from pathlib import Path
 from typing import Sequence
 
 from .experiments import (
@@ -892,6 +893,11 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
         raise SystemExit(
             f"--fail-above must exceed 1.0 (a slowdown factor), got {args.fail_above}"
         )
+    if args.compare and args.out:
+        if Path(args.out).resolve() == Path(args.compare).resolve():
+            raise SystemExit(
+                f"--out {args.out!r} is the --compare baseline; refusing to overwrite it"
+            )
     baseline = None
     if args.compare:
         # Load the baseline up front so a bad path fails before the

@@ -50,6 +50,7 @@ from ..spatial.dataset import SpatialDataset
 from ..spatial.histogram_tree import HistogramNode, HistogramTree
 from ..spatial.quadtree import _privtree_histogram
 from ..spatial.queries import generate_workload
+from ..spatial.serialize import tree_to_dict
 
 __all__ = [
     "bench_regression_failures",
@@ -510,13 +511,13 @@ def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
     from ..api.base import release_from_json
     from ..api.releases import SpatialTreeRelease
     from ..serve.artifact import read_artifact, write_artifact
+    from ..spatial.flat import FlatHistogram
 
     # Canonicalize the synthetic level-order arrays through the pointer
     # tree: the v1 JSON path recompiles its engine in from_tree's
     # pre-order, and bit-identity needs both loads summing in one layout.
-    tree = synthetic_flat_histogram(depth).to_tree()
-    release = SpatialTreeRelease(tree, method="privtree", epsilon_spent=1.0)
-    flat = release.flat()
+    flat = FlatHistogram.from_tree(synthetic_flat_histogram(depth).to_tree())
+    release = SpatialTreeRelease(flat=flat, method="privtree", epsilon_spent=1.0)
     probe = [
         (np.array([0.1, 0.1]), np.array([0.4, 0.5])),
         (np.array([0.0, 0.0]), np.array([1.0, 1.0])),
@@ -831,7 +832,9 @@ def run_perf_bench(
     build_ref_s, reference = _best_of(
         repeats, lambda: reference_privtree_histogram(data, epsilon=epsilon, rng=rng)
     )
-    if synopsis.size != reference.size or synopsis.total_count != reference.total_count:
+    # The whole release must match the frozen reference: every box and
+    # every count, in the same tree shape.
+    if tree_to_dict(synopsis) != tree_to_dict(reference):
         raise AssertionError(
             "optimized and reference builds diverged: "
             f"size {synopsis.size} vs {reference.size}, "
@@ -859,8 +862,6 @@ def run_perf_bench(
     # synopsis bit-for-bit under the same seed — the fit's defining
     # guarantee — so the case both times the protocol overhead and guards
     # the identity in CI.
-    from ..spatial.serialize import tree_to_dict
-
     n_shards = 4
     fed_s, fed_tree = _best_of(
         repeats,

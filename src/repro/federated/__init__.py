@@ -12,11 +12,11 @@ parties borrowed from PrivCount's architecture:
 * :class:`SecureAggregator` — sums the shares; masks telescope away,
   recovering exact global counts without any party seeing a raw per-shard
   histogram;
-* :class:`FederatedPrivTree` — the coordinator: replays the centralized
-  level-batched frontier loop against aggregated counts, drawing one
-  Laplace batch per level (and one over the leaves) from its own RNG so
-  the federated release is **bit-identical** to the single-machine fit on
-  the concatenated data under the same seed.
+* :class:`FederatedPrivTree` — the coordinator: runs the centralized
+  fit's level engine (:mod:`repro.spatial.engine`) on aggregated counts,
+  drawing one Laplace batch per level (and one over the leaves) from its
+  own RNG so the federated release is **bit-identical** to the
+  single-machine fit on the concatenated data under the same seed.
 
 :class:`EpochLedger` extends this to continual observation: sliding-window
 re-fits over epoch-stamped shard data, budget composition across epochs

@@ -1,44 +1,43 @@
-"""The coordinator: PrivTree's frontier driven by aggregated shard counts.
+"""The coordinator: PrivTree's level engine driven by aggregated shard counts.
 
-PrivTree's engine (:func:`repro.core.privtree.privtree`) only ever consumes
-*per-node counts* — the split geometry, the eligibility test, and the child
-ordering are pure functions of the domain.  That is the whole trick of the
-federated fit: the coordinator replays the exact level-batched frontier loop
-of the single-machine engine, but sources each level's counts from a
+A spatial PrivTree fit only ever consumes *per-node counts* — the split
+geometry, the eligibility test, and the child ordering are pure functions
+of the domain.  That is the whole trick of the federated fit: the
+coordinator runs the same array-native level engine as the centralized fit
+(:mod:`repro.spatial.engine`), with a count source that answers each
+level's counts with one round of
 :class:`~repro.federated.aggregator.SecureAggregator` over blinded shard
-shares instead of from an in-memory point set, and draws **one Laplace
-batch per level** (plus one final leaf-count batch) from its own RNG —
-the same stream positions, in the same order, as the centralized engine.
+shares instead of from an in-memory point set.  The engine draws **one
+Laplace batch per level** (plus one final leaf-count batch) from the
+coordinator's RNG — the same stream positions, in the same order, as the
+centralized fit.
 
 Because (a) the aggregated counts are *exact* (blinding is lossless), (b)
-eligibility and child order depend only on boxes, and (c) the coordinator
-consumes its RNG identically to the in-memory pipeline, the federated
-release is **bit-identical** to
-:func:`repro.spatial.quadtree._privtree_histogram` run on the concatenation
-of the shards, for the same seed and parameters.  The documented stream
-order is the one in :mod:`repro.core.privtree`: BFS over splittable nodes,
-one sized Laplace batch per level, then one batch over the DFS
-left-to-right leaves.
+eligibility and child order depend only on boxes, and (c) both fits run
+one engine on one RNG stream, the federated release is **bit-identical**
+to :func:`repro.spatial.quadtree._privtree_histogram` run on the
+concatenation of the shards, for the same seed and parameters.  The count
+source also carries the protocol around each level: heartbeats, the
+``apply_splits`` broadcast, the fault injector's crash tick and the
+checkpoint commit.  Resume replays a checkpoint's committed split
+decisions through the engine before the next round.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ..core.params import PrivTreeParams
-from ..core.privtree import DEFAULT_MAX_DEPTH, MaxDepthWarning
+from ..core.privtree import DEFAULT_MAX_DEPTH
 from ..domains.box import Box
 from ..mechanisms.accountant import PrivacyAccountant
-from ..mechanisms.geometric import geometric_noise_interleaved
-from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, SeedLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
-from ..spatial.histogram_tree import HistogramNode, HistogramTree
+from ..spatial.engine import LevelTree, check_fit_options, fit_privtree
+from ..spatial.histogram_tree import HistogramTree
 from ..telemetry import get_registry, span as _span
 from .aggregator import SecureAggregator
 from .checkpoint import FitCheckpoint, restore_rng, rng_state
@@ -79,21 +78,6 @@ def shard_dataset(dataset: SpatialDataset, n_shards: int) -> list[SpatialDataset
         )
         for i in range(n_shards)
     ]
-
-
-@dataclass
-class _FrontierNode:
-    """Coordinator-side node: geometry only, never a point or a count."""
-
-    node_id: str
-    box: Box
-    depth: int
-    next_dim: int
-    children: list["_FrontierNode"] = field(default_factory=list)
-
-    def split_dims(self, dims_per_split: int) -> list[int]:
-        d = self.box.ndim
-        return [(self.next_dim + j) % d for j in range(dims_per_split)]
 
 
 class FederatedPrivTree:
@@ -146,29 +130,6 @@ class FederatedPrivTree:
     @property
     def fanout(self) -> int:
         return 2 ** self.dims_per_split
-
-    def _aggregate_counts(
-        self, node_ids: list[str], *, round_index: int | None = None
-    ) -> np.ndarray:
-        """One protocol round: exact global counts for ``node_ids``."""
-        with _span(
-            "federated.round",
-            round=round_index,
-            kind="counts",
-            n_nodes=len(node_ids),
-        ):
-            shares = []
-            for i, collector in enumerate(self.collectors):
-                with _span(
-                    "federated.collector",
-                    shard_id=getattr(collector, "shard_id", i),
-                    round=round_index,
-                    op="blinded_counts",
-                ):
-                    shares.append(collector.blinded_counts(node_ids))
-            return self.aggregator.aggregate(
-                shares, node_ids=node_ids, round_index=round_index
-            )
 
     def _maybe_heartbeat(self) -> None:
         """Probe collector liveness between rounds.
@@ -251,17 +212,7 @@ class FederatedPrivTree:
             stalling mid-aggregation.  Probes never touch the RNG stream,
             so the release stays bit-identical with or without them.
         """
-        if tuples_per_individual < 1:
-            raise ValueError(
-                f"tuples_per_individual must be >= 1, got {tuples_per_individual!r}"
-            )
-        if count_mechanism not in ("laplace", "geometric"):
-            raise ValueError(
-                f"count_mechanism must be 'laplace' or 'geometric', "
-                f"got {count_mechanism!r}"
-            )
-        if not 0 < tree_fraction < 1:
-            raise ValueError(f"tree_fraction must be in (0, 1), got {tree_fraction!r}")
+        check_fit_options(tree_fraction, tuples_per_individual, count_mechanism)
         self.heartbeat_interval = heartbeat_interval
         self._last_heartbeat = float("-inf")
         config = {
@@ -276,10 +227,9 @@ class FederatedPrivTree:
             "label_prefix": label_prefix,
             "n_collectors": len(self.collectors),
         }
-        eps_tree = tree_fraction * epsilon
-        eps_counts = (1.0 - tree_fraction) * epsilon
         if accountant is None:
             accountant = PrivacyAccountant(epsilon)
+        tree = LevelTree(self.domain, self.dims_per_split)
 
         if resume:
             if checkpoint is None:
@@ -294,36 +244,26 @@ class FederatedPrivTree:
                 raise CheckpointError(
                     f"{checkpoint.path} records a completed fit; nothing to resume"
                 )
+            rounds = _RoundCounts(
+                self, restore_rng(state["rng"]), accountant, config, checkpoint,
+                fault_injector, int(state["next_round"]), list(state["round_log"]),
+            )
+            rounds.replay(tree, [[str(i) for i in r] for r in state["split_rounds"]])
+            if [str(i) for i in state["level_ids"]] != rounds.frontier_ids:
+                raise CheckpointError(
+                    "checkpoint frontier disagrees with its replayed split log"
+                )
             accountant.restore(
                 [(str(label), float(eps)) for label, eps in state["ledger"]]
             )
-            gen = restore_rng(state["rng"])
-            split_rounds = [[str(i) for i in r] for r in state["split_rounds"]]
-            root, nodes_by_id = _rebuild_frontier(
-                self.domain, self.dims_per_split, split_rounds
-            )
-            try:
-                level = [nodes_by_id[str(i)] for i in state["level_ids"]]
-            except KeyError as exc:
-                raise CheckpointError(
-                    f"checkpoint frontier references unknown node {exc.args[0]!r}"
-                ) from None
-            next_round = int(state["next_round"])
-            round_log = list(state["round_log"])
             for collector in self.collectors:
                 sync = getattr(collector, "sync_round", None)
                 if sync is not None:
-                    sync(next_round)
-            return self._run_rounds(
-                config, eps_tree, eps_counts, gen, accountant,
-                level=level, root=root, split_rounds=split_rounds,
-                next_round=next_round, round_log=round_log,
-                checkpoint=checkpoint, fault_injector=fault_injector,
-            )
+                    sync(rounds.next_round)
+            return rounds.fit(tree)
 
-        gen = ensure_rng(rng)
-        root = _FrontierNode(
-            node_id=ROOT_NODE_ID, box=self.domain, depth=0, next_dim=0
+        rounds = _RoundCounts(
+            self, ensure_rng(rng), accountant, config, checkpoint, fault_injector
         )
         # The whole fit is one budget transaction: if any round aborts
         # (collector timeout, crash injection, exhaustion mid-fit), the
@@ -332,254 +272,151 @@ class FederatedPrivTree:
         # a crashed-and-resumed fit restores its spends instead of
         # re-spending them.
         with accountant.transaction():
-            accountant.spend(eps_tree, f"{label_prefix}/tree structure")
-            accountant.spend(eps_counts, f"{label_prefix}/leaf counts")
-            if checkpoint is not None:
-                checkpoint.save(
-                    _fit_state(
-                        "grow", 0, [root.node_id], [], gen, accountant,
-                        config, [],
-                    )
-                )
-            return self._run_rounds(
-                config, eps_tree, eps_counts, gen, accountant,
-                level=[root], root=root, split_rounds=[],
-                next_round=0, round_log=[],
-                checkpoint=checkpoint, fault_injector=fault_injector,
+            accountant.spend(tree_fraction * epsilon, f"{label_prefix}/tree structure")
+            accountant.spend(
+                (1.0 - tree_fraction) * epsilon, f"{label_prefix}/leaf counts"
             )
-
-    def _run_rounds(
-        self,
-        config: dict,
-        eps_tree: float,
-        eps_counts: float,
-        gen: np.random.Generator,
-        accountant: PrivacyAccountant,
-        *,
-        level: list["_FrontierNode"],
-        root: "_FrontierNode",
-        split_rounds: list[list[str]],
-        next_round: int,
-        round_log: list[dict],
-        checkpoint: FitCheckpoint | None,
-        fault_injector: FaultInjector | None,
-    ) -> HistogramTree:
-        """Algorithm 2's level-batched frontier as committed rounds.
-
-        Mirrors :func:`repro.core.privtree.privtree` line for line —
-        eligibility, the one-batch-per-level noise draw, the biased-score
-        threshold test, the max-depth guard — with ``score(v)`` supplied
-        by one aggregation round over the eligible nodes, and one atomic
-        checkpoint commit per completed level.
-        """
-        params = PrivTreeParams.calibrate(
-            eps_tree,
-            fanout=self.fanout,
-            sensitivity=float(config["tuples_per_individual"]),
-            theta=config["theta"],
-        )
-        dims_per_split = self.dims_per_split
-        max_depth = config["max_depth"]
-        guard_hit = False
-        floor = params.floor()
-        while level:
-            eligible: list[_FrontierNode] = []
-            for node in level:
-                if not node.box.can_bisect(node.split_dims(dims_per_split)):
-                    continue
-                if max_depth is not None and node.depth >= max_depth:
-                    guard_hit = True
-                    continue
-                eligible.append(node)
-            if not eligible:
-                break
-            self._maybe_heartbeat()
-            counts = self._aggregate_counts(
-                [node.node_id for node in eligible], round_index=next_round
-            )
-            if fault_injector is not None:
-                fault_injector.coordinator_tick(next_round)
-            noise = laplace_noise(params.lam, size=len(eligible), rng=gen)
-            to_split: list[_FrontierNode] = []
-            for node, count, perturbation in zip(eligible, counts, noise):
-                biased = max(floor, float(count) - node.depth * params.delta)
-                if biased + perturbation > params.theta:
-                    to_split.append(node)
-            to_split_ids = [node.node_id for node in to_split]
-            with _span(
-                "federated.round",
-                round=next_round + 1,
-                kind="splits",
-                n_nodes=len(to_split_ids),
-            ):
-                for i, collector in enumerate(self.collectors):
-                    with _span(
-                        "federated.collector",
-                        shard_id=getattr(collector, "shard_id", i),
-                        round=next_round + 1,
-                        op="apply_splits",
-                    ):
-                        collector.apply_splits(to_split_ids)
-            next_level: list[_FrontierNode] = []
-            for node in to_split:
-                dims = node.split_dims(dims_per_split)
-                next_dim = (node.next_dim + dims_per_split) % node.box.ndim
-                node.children = [
-                    _FrontierNode(
-                        node_id=child_node_id(node.node_id, j),
-                        box=child_box,
-                        depth=node.depth + 1,
-                        next_dim=next_dim,
-                    )
-                    for j, child_box in enumerate(node.box.bisect(dims))
-                ]
-                next_level.extend(node.children)
-            round_log.append(
-                {"round": next_round, "kind": "counts", "n_nodes": len(eligible)}
-            )
-            round_log.append(
-                {"round": next_round + 1, "kind": "splits", "n_nodes": len(to_split_ids)}
-            )
-            next_round += 2
-            split_rounds.append(to_split_ids)
-            level = next_level
-            if checkpoint is not None:
-                checkpoint.save(
-                    _fit_state(
-                        "grow", next_round, [n.node_id for n in level],
-                        split_rounds, gen, accountant, config, round_log,
-                    )
-                )
-        if guard_hit:
-            warnings.warn(
-                f"PrivTree hit the max_depth={max_depth} guard; the decomposition "
-                "was truncated (this is outside the paper's analysis)",
-                MaxDepthWarning,
-                stacklevel=3,
-            )
-
-        # Leaf counts: same DFS left-to-right order and the same one-batch
-        # noise draw as the in-memory pipeline; the exact counts arrive as
-        # one last aggregation round instead of local window sizes.
-        nodes = _preorder(root)
-        leaves = [node for node in nodes if not node.children]
-        self._maybe_heartbeat()
-        exact = self._aggregate_counts(
-            [leaf.node_id for leaf in leaves], round_index=next_round
-        )
-        if fault_injector is not None:
-            fault_injector.coordinator_tick(next_round)
-        tuples_per_individual = config["tuples_per_individual"]
-        if config["count_mechanism"] == "laplace":
-            count_scale = tuples_per_individual / eps_counts
-            noisy = exact.astype(float) + laplace_noise(
-                count_scale, size=len(leaves), rng=gen
-            )
-        else:
-            noisy = exact + geometric_noise_interleaved(
-                eps_counts,
-                len(leaves),
-                sensitivity=float(tuples_per_individual),
-                rng=gen,
-            )
-        leaf_counts = {leaf.node_id: float(value) for leaf, value in zip(leaves, noisy)}
-        round_log.append(
-            {"round": next_round, "kind": "counts", "n_nodes": len(leaves)}
-        )
-        next_round += 1
-
-        # Assemble the released tree exactly like quadtree._release_histogram:
-        # leaves get their noisy counts, internal nodes the sum of children.
-        released: dict[str, HistogramNode] = {}
-        for node in reversed(nodes):
-            children = [released[c.node_id] for c in node.children]
-            if not node.children:
-                count = leaf_counts[node.node_id]
-            else:
-                count = sum(c.count for c in children)
-            released[node.node_id] = HistogramNode(
-                box=node.box, count=count, children=children
-            )
-        if checkpoint is not None:
-            checkpoint.save(
-                _fit_state(
-                    "done", next_round, [], split_rounds, gen, accountant,
-                    config, round_log,
-                )
-            )
-        return HistogramTree(root=released[root.node_id])
+            rounds.commit("grow")
+            return rounds.fit(tree)
 
 
-def _preorder(root: _FrontierNode) -> list[_FrontierNode]:
-    """All nodes in pre-order (the leaf subsequence is DFS left-to-right)."""
-    out: list[_FrontierNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
-    return out
+@dataclass
+class _RoundCounts:
+    """The level engine's count source over secure aggregation.
 
-
-def _fit_state(
-    phase: str,
-    next_round: int,
-    level_ids: list[str],
-    split_rounds: list[list[str]],
-    gen: np.random.Generator,
-    accountant: PrivacyAccountant,
-    config: dict,
-    round_log: list[dict],
-) -> dict:
-    """One committed round's complete replay state, JSON-shaped."""
-    return {
-        "phase": phase,
-        "next_round": next_round,
-        "level_ids": list(level_ids),
-        "split_rounds": [list(r) for r in split_rounds],
-        "rng": rng_state(gen),
-        "ledger": [[label, eps] for label, eps in accountant.ledger],
-        "config": config,
-        "round_log": list(round_log),
-    }
-
-
-def _rebuild_frontier(
-    domain: Box,
-    dims_per_split: int,
-    split_rounds: list[list[str]],
-) -> tuple[_FrontierNode, dict[str, _FrontierNode]]:
-    """Replay committed split decisions into a coordinator frontier.
-
-    Node ids encode the split path (``v1.0.2…``) and splitting is pure
-    geometry, so the committed per-level split lists are a complete record
-    of the tree grown so far: bisecting each recorded node in order
-    reproduces every box, depth, and ``next_dim`` exactly.
+    Each level is one committed round pair: ``counts`` over the eligible
+    frontier nodes, then ``splits`` broadcasting the decision to every
+    collector, after which the replay state is checkpointed; the leaves get
+    one last ``counts`` round.  Nodes are named by their split path
+    (``v1.0.2…``, see :func:`~repro.federated.collector.child_node_id`).
     """
-    root = _FrontierNode(node_id=ROOT_NODE_ID, box=domain, depth=0, next_dim=0)
-    nodes: dict[str, _FrontierNode] = {root.node_id: root}
-    for round_ids in split_rounds:
-        for node_id in round_ids:
+
+    driver: FederatedPrivTree
+    gen: np.random.Generator
+    accountant: PrivacyAccountant
+    config: dict
+    checkpoint: FitCheckpoint | None
+    fault_injector: FaultInjector | None
+    next_round: int = 0
+    round_log: list[dict] = field(default_factory=list)
+    split_rounds: list[list[str]] = field(default_factory=list)
+    frontier_ids: list[str] = field(default_factory=lambda: [ROOT_NODE_ID])
+    ids: list[str] = field(default_factory=lambda: [ROOT_NODE_ID])  # BFS order
+    n_eligible: int = 0
+
+    def fit(self, tree: LevelTree) -> HistogramTree:
+        """Run the level engine over aggregated counts; commit the finished fit."""
+        options = ("epsilon", "tree_fraction", "theta", "tuples_per_individual",
+                   "count_mechanism", "max_depth")
+        flat = fit_privtree(
+            tree, self, self.gen, **{key: self.config[key] for key in options}
+        )
+        self.commit("done")
+        return flat.to_tree()
+
+    def _on_collectors(self, op: str, round_index: int, call) -> list:
+        """``call(collector)`` on every collector, one span each."""
+        results = []
+        for i, collector in enumerate(self.driver.collectors):
+            shard_id = getattr(collector, "shard_id", i)
+            with _span(
+                "federated.collector", shard_id=shard_id, round=round_index, op=op
+            ):
+                results.append(call(collector))
+        return results
+
+    def _round(self, node_ids: list[str]) -> np.ndarray:
+        """One counts round: exact global counts for ``node_ids``."""
+        round_index = self.next_round
+        self.driver._maybe_heartbeat()
+        with _span(
+            "federated.round", round=round_index, kind="counts", n_nodes=len(node_ids)
+        ):
+            shares = self._on_collectors(
+                "blinded_counts", round_index, lambda c: c.blinded_counts(node_ids)
+            )
+            counts = self.driver.aggregator.aggregate(
+                shares, node_ids=node_ids, round_index=round_index
+            )
+        if self.fault_injector is not None:
+            # After aggregation, before the commit: the widest crash window.
+            self.fault_injector.coordinator_tick(round_index)
+        return counts
+
+    def counts(self, eligible: np.ndarray) -> np.ndarray:
+        self.n_eligible = len(eligible)
+        return self._round([self.frontier_ids[i] for i in eligible])
+
+    def split(self, parents: np.ndarray, dims, mids) -> None:
+        split_ids = self._advance(parents)
+        round_index = self.next_round + 1
+        with _span(
+            "federated.round", round=round_index, kind="splits", n_nodes=len(split_ids)
+        ):
+            self._on_collectors(
+                "apply_splits", round_index, lambda c: c.apply_splits(split_ids)
+            )
+        self.round_log += [
+            {"round": self.next_round, "kind": "counts", "n_nodes": self.n_eligible},
+            {"round": round_index, "kind": "splits", "n_nodes": len(split_ids)},
+        ]
+        self.next_round += 2
+        self.commit("grow")
+
+    def leaf_counts(self, leaves: np.ndarray) -> np.ndarray:
+        exact = self._round([self.ids[i] for i in leaves])
+        self.round_log.append(
+            {"round": self.next_round, "kind": "counts", "n_nodes": len(leaves)}
+        )
+        self.next_round += 1
+        return exact
+
+    def _advance(self, parents) -> list[str]:
+        """Name the children of frontier nodes ``parents``; return the parents' ids."""
+        split_ids = [self.frontier_ids[i] for i in parents]
+        self.frontier_ids = [
+            child_node_id(node_id, j)
+            for node_id in split_ids
+            for j in range(self.driver.fanout)
+        ]
+        self.ids.extend(self.frontier_ids)
+        self.split_rounds.append(split_ids)
+        return split_ids
+
+    def replay(self, tree: LevelTree, split_rounds: list[list[str]]) -> None:
+        """Regrow ``tree`` from a checkpoint's committed split decisions.
+
+        Splitting is pure geometry, so the per-level split lists rebuild
+        every box and id exactly; an id that is not on the frontier of its
+        level is a corrupt checkpoint.
+        """
+        for round_ids in split_rounds:
+            position = {node_id: i for i, node_id in enumerate(self.frontier_ids)}
             try:
-                node = nodes[node_id]
-            except KeyError:
+                parents = sorted({position[node_id] for node_id in round_ids})
+            except KeyError as exc:
                 raise CheckpointError(
-                    f"checkpoint split log references unknown node {node_id!r}"
+                    f"checkpoint split log references unknown node {exc.args[0]!r}"
                 ) from None
-            dims = node.split_dims(dims_per_split)
-            next_dim = (node.next_dim + dims_per_split) % node.box.ndim
-            node.children = [
-                _FrontierNode(
-                    node_id=child_node_id(node.node_id, j),
-                    box=child_box,
-                    depth=node.depth + 1,
-                    next_dim=next_dim,
-                )
-                for j, child_box in enumerate(node.box.bisect(dims))
-            ]
-            for child in node.children:
-                nodes[child.node_id] = child
-    return root, nodes
+            parents = np.array(parents, dtype=np.intp)
+            tree.split(parents)
+            self._advance(parents)
+
+    def commit(self, phase: str) -> None:
+        """Checkpoint the replay state of the last completed round."""
+        if self.checkpoint is not None:
+            self.checkpoint.save(
+                {
+                    "phase": phase,
+                    "next_round": self.next_round,
+                    "level_ids": list(self.frontier_ids) if phase == "grow" else [],
+                    "split_rounds": [list(r) for r in self.split_rounds],
+                    "rng": rng_state(self.gen),
+                    "ledger": [[label, eps] for label, eps in self.accountant.ledger],
+                    "config": self.config,
+                    "round_log": list(self.round_log),
+                }
+            )
 
 
 def replay_splits(

@@ -1,10 +1,12 @@
 """Flat, array-backed view of a released histogram tree.
 
-A :class:`FlatHistogram` compiles a :class:`~repro.spatial.histogram_tree.
-HistogramTree` into a structure-of-arrays synopsis: node boxes as ``(m, d)``
-``lows`` / ``highs`` matrices, counts as an ``(m,)`` vector, and the topology
-as pre-order ``parents`` plus CSR-style child offsets.  Range-count queries
-are then pure NumPy instead of a Python traversal.
+A :class:`FlatHistogram` is a structure-of-arrays synopsis: node boxes as
+``(m, d)`` ``lows`` / ``highs`` matrices, counts as an ``(m,)`` vector, and
+the topology as pre-order ``parents`` plus CSR-style child offsets.  PrivTree
+fits write these arrays directly (:mod:`repro.spatial.engine`); pointer
+trees of the other hierarchical methods compile into them with
+:meth:`FlatHistogram.from_tree`.  Range-count queries are then pure NumPy
+instead of a Python traversal.
 
 Why no traversal is needed: the §2.2 top-down answer is
 
@@ -26,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..domains.box import Box
-from .histogram_tree import HistogramNode, HistogramTree
+from .histogram_tree import HistogramTree
 
 __all__ = ["FlatHistogram", "flatten_tree"]
 
@@ -109,54 +111,44 @@ class FlatHistogram:
 
     @staticmethod
     def from_tree(tree: HistogramTree) -> "FlatHistogram":
-        """Compile a released :class:`HistogramTree` into flat arrays."""
+        """Compile a pointer :class:`HistogramTree` into flat arrays."""
         nodes = list(tree.root.iter_nodes())  # pre-order
-        m = len(nodes)
-        d = tree.root.box.ndim
-        lows = np.empty((m, d))
-        highs = np.empty((m, d))
-        counts = np.empty(m)
-        parents = np.full(m, -1, dtype=np.intp)
-        n_children = np.empty(m, dtype=np.intp)
         index_of = {id(node): i for i, node in enumerate(nodes)}
-        for i, node in enumerate(nodes):
-            lows[i] = node.box.low
-            highs[i] = node.box.high
-            counts[i] = node.count
-            n_children[i] = len(node.children)
-            for child in node.children:
-                parents[index_of[id(child)]] = i
-        child_offsets = np.concatenate(([0], np.cumsum(n_children)))
-        child_index = np.empty(int(child_offsets[-1]), dtype=np.intp)
-        cursor = child_offsets[:-1].copy()
-        for i in range(1, m):
-            p = parents[i]
-            child_index[cursor[p]] = i
-            cursor[p] += 1
+        n_children = np.array([len(node.children) for node in nodes], dtype=np.intp)
+        child_index = np.array(
+            [index_of[id(child)] for node in nodes for child in node.children],
+            dtype=np.intp,
+        )
+        parents = np.full(len(nodes), -1, dtype=np.intp)
+        parents[child_index] = np.repeat(np.arange(len(nodes)), n_children)
         return FlatHistogram(
-            lows=lows,
-            highs=highs,
-            counts=counts,
+            lows=np.array([node.box.low for node in nodes], dtype=float),
+            highs=np.array([node.box.high for node in nodes], dtype=float),
+            counts=np.array([node.count for node in nodes], dtype=float),
             parents=parents,
-            child_offsets=child_offsets,
+            child_offsets=np.concatenate(([0], np.cumsum(n_children))),
             child_index=child_index,
         )
 
     def to_tree(self) -> HistogramTree:
-        """Reconstruct the pointer-based :class:`HistogramTree`."""
-        m = self.size
-        released: list[HistogramNode | None] = [None] * m
-        offsets = self.child_offsets
-        for i in range(m - 1, -1, -1):
-            children = [
-                released[j] for j in self.child_index[offsets[i] : offsets[i + 1]]
-            ]
-            released[i] = HistogramNode(
-                box=Box.from_arrays(self.lows[i], self.highs[i]),
-                count=float(self.counts[i]),
-                children=children,
-            )
-        return HistogramTree(root=released[0])
+        """A :class:`HistogramTree` view (pointer nodes built only on demand)."""
+        return HistogramTree(flat=self)
+
+    def fold(self, make):
+        """Build one object per node, children first, and return the root's.
+
+        ``make(low, high, count, children)`` gets plain Python lists and
+        floats plus the already-built children, left to right; no recursion,
+        so arbitrarily deep trees fold.
+        """
+        lows, highs = self.lows.tolist(), self.highs.tolist()
+        counts, offsets = self.counts.tolist(), self.child_offsets.tolist()
+        child_index = self.child_index.tolist()
+        built = [None] * self.size
+        for i in range(self.size - 1, -1, -1):
+            children = [built[j] for j in child_index[offsets[i] : offsets[i + 1]]]
+            built[i] = make(lows[i], highs[i], counts[i], children)
+        return built[0]
 
     # ------------------------------------------------------------------
     # Queries

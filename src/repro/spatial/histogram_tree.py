@@ -5,6 +5,10 @@ no raw points, only sub-domains and noisy counts.  Range-count queries are
 answered with the top-down traversal of Section 2.2: fully-covered nodes
 contribute their count, partially-covered leaves contribute a
 uniformity-based fraction of theirs.
+
+A :class:`HistogramTree` wraps pointer nodes (SimpleTree, k-d tree, JSON
+read back) or a :class:`~repro.spatial.flat.FlatHistogram` (PrivTree fits,
+binary artifacts); everything but :attr:`HistogramTree.root` reads the arrays.
 """
 
 from __future__ import annotations
@@ -39,60 +43,32 @@ class HistogramNode:
             stack.extend(reversed(node.children))
 
 
-@dataclass
 class HistogramTree:
     """A private spatial synopsis supporting range-count queries.
 
-    Structural statistics (``size``, ``leaf_count``, ``height``) and the
-    array-backed query engine (:meth:`flat`) are computed lazily on first
-    access and cached: released trees are never mutated after construction,
-    and experiments read these per trial.
+    Built from a pointer ``root`` or from a compiled ``flat`` synopsis; the
+    missing form is derived on first use and cached (released trees are
+    never mutated after construction).
     """
 
-    root: HistogramNode
-    _stats: tuple[int, int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _flat: "FlatHistogram | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def _compute_stats(self) -> tuple[int, int, int]:
-        """(size, leaf_count, height) in one iterative traversal."""
-        if self._stats is None:
-            size = leaves = height = 0
-            stack = [(self.root, 0)]
-            while stack:
-                node, depth = stack.pop()
-                size += 1
-                if node.is_leaf:
-                    leaves += 1
-                    if depth > height:
-                        height = depth
-                else:
-                    stack.extend((child, depth + 1) for child in node.children)
-            self._stats = (size, leaves, height)
-        return self._stats
+    def __init__(
+        self, root: HistogramNode | None = None, *, flat: "FlatHistogram | None" = None
+    ) -> None:
+        if (root is None) == (flat is None):
+            raise ValueError("a HistogramTree needs exactly one of root or flat")
+        self._root = root
+        self._flat = flat
 
     @property
-    def size(self) -> int:
-        """Total number of nodes."""
-        return self._compute_stats()[0]
-
-    @property
-    def leaf_count(self) -> int:
-        """Number of leaves."""
-        return self._compute_stats()[1]
-
-    @property
-    def height(self) -> int:
-        """Number of levels minus one (root-only tree has height 0)."""
-        return self._compute_stats()[2]
-
-    @property
-    def total_count(self) -> float:
-        """The (noisy) total number of points."""
-        return self.root.count
+    def root(self) -> HistogramNode:
+        """The pointer-based root node (built from the arrays on first access)."""
+        if self._root is None:
+            self._root = self._flat.fold(
+                lambda low, high, count, children: HistogramNode(
+                    Box(tuple(low), tuple(high)), count, children
+                )
+            )
+        return self._root
 
     def flat(self) -> "FlatHistogram":
         """The compiled array-backed synopsis (built once, then cached)."""
@@ -101,6 +77,32 @@ class HistogramTree:
 
             self._flat = FlatHistogram.from_tree(self)
         return self._flat
+
+    @property
+    def size(self) -> int:
+        """Total number of nodes."""
+        return self.flat().size
+
+    @property
+    def leaf_count(self) -> int:
+        """Number of leaves."""
+        return self.flat().leaf_count
+
+    @property
+    def height(self) -> int:
+        """Number of levels minus one (root-only tree has height 0)."""
+        return self.flat().height
+
+    @property
+    def total_count(self) -> float:
+        """The (noisy) total number of points."""
+        return self.flat().total_count
+
+    @property
+    def domain(self) -> Box:
+        """The root box: the released domain Ω."""
+        flat = self.flat()
+        return Box.from_arrays(flat.lows[0], flat.highs[0])
 
     def range_count(self, query: Box) -> float:
         """Answer a range-count query via the §2.2 traversal.
@@ -129,8 +131,10 @@ class HistogramTree:
         return self.flat().range_count_many(queries)
 
     def leaf_boxes(self) -> list[Box]:
-        """The sub-domains of all leaves (the decomposition's cells)."""
-        return [n.box for n in self.root.iter_nodes() if n.is_leaf]
+        """The sub-domains of all leaves (the decomposition's cells), DFS order."""
+        flat = self.flat()
+        lows, highs = flat.lows[flat.is_leaf].tolist(), flat.highs[flat.is_leaf].tolist()
+        return [Box._trusted(tuple(low), tuple(high)) for low, high in zip(lows, highs)]
 
     def to_grid(self, shape: tuple[int, ...]) -> "np.ndarray":
         """Rasterize the synopsis onto a regular grid of the given shape.
@@ -142,23 +146,25 @@ class HistogramTree:
         """
         import numpy as np
 
-        if len(shape) != self.root.box.ndim:
+        domain = self.domain
+        if len(shape) != domain.ndim:
             raise ValueError(
-                f"shape has {len(shape)} axes but the tree is "
-                f"{self.root.box.ndim}-d"
+                f"shape has {len(shape)} axes but the tree is {domain.ndim}-d"
             )
         if any(s < 1 for s in shape):
             raise ValueError(f"grid shape {shape} has an empty axis")
-        domain = self.root.box
         grid = np.zeros(shape)
         edges = [
             np.linspace(domain.low[d], domain.high[d], shape[d] + 1)
             for d in range(domain.ndim)
         ]
-        for leaf in (n for n in self.root.iter_nodes() if n.is_leaf):
+        flat = self.flat()
+        leaf = flat.is_leaf
+        lows, highs = flat.lows[leaf].tolist(), flat.highs[leaf].tolist()
+        for low, high, count in zip(lows, highs, flat.counts[leaf].tolist()):
             slices, weights = [], []
             for d in range(domain.ndim):
-                lo, hi = leaf.box.low[d], leaf.box.high[d]
+                lo, hi = low[d], high[d]
                 first = max(int(np.searchsorted(edges[d], lo, side="right")) - 1, 0)
                 last = min(int(np.searchsorted(edges[d], hi, side="left")), shape[d])
                 if last <= first:
@@ -174,5 +180,5 @@ class HistogramTree:
             block = weights[0]
             for w in weights[1:]:
                 block = np.multiply.outer(block, w)
-            grid[tuple(slices)] += leaf.count * block
+            grid[tuple(slices)] += count * block
         return grid

@@ -15,13 +15,10 @@ Storage layout
 --------------
 All payloads of one decomposition share a single read-only coordinate array
 plus one mutable permutation of row indices; a payload is just a
-``[start, stop)`` window into that permutation.  :meth:`split` computes every
-point's child in one vectorized pass — packing the per-dimension
-``coord >= midpoint`` bits into a child index — and then reorders its window
-in place so each child is again a contiguous slice.  Nothing is ever copied,
-``score()`` is ``stop - start``, and a whole PrivTree build performs one
-O(m)-vectorized pass per split instead of β = 2^d separate
-``contains_points`` scans with β materialized sub-arrays.
+``[start, stop)`` window into that permutation, so ``score()`` is
+``stop - start`` and nothing is ever copied.  :func:`partition_windows`
+splits a whole level's windows in place with one vectorized pass; the
+array-native engine of :mod:`repro.spatial.engine` shares it.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import numpy as np
 from ..domains.box import Box
 from .dataset import SpatialDataset
 
-__all__ = ["SpatialNodeData"]
+__all__ = ["SpatialNodeData", "partition_windows", "resolve_dims_per_split"]
 
 
 class SpatialNodeData:
@@ -90,17 +87,10 @@ class SpatialNodeData:
     @staticmethod
     def root(dataset: SpatialDataset, dims_per_split: int | None = None) -> "SpatialNodeData":
         """Payload covering the whole domain of ``dataset``."""
-        d = dataset.ndim
-        if dims_per_split is None:
-            dims_per_split = d
-        if not 1 <= dims_per_split <= d:
-            raise ValueError(
-                f"dims_per_split must be in [1, {d}], got {dims_per_split}"
-            )
         return SpatialNodeData(
             box=dataset.domain,
             points=dataset.points,
-            dims_per_split=dims_per_split,
+            dims_per_split=resolve_dims_per_split(dataset.ndim, dims_per_split),
         )
 
     @property
@@ -135,42 +125,8 @@ class SpatialNodeData:
         second call would scramble the slices handed to the first call's
         children.
         """
-        if self._children is not None:
-            return self._children
-        dims = self._split_dims()
-        children_boxes = self.box.bisect(dims)
-        d = self.box.ndim
-        next_dim = (self.next_dim + self.dims_per_split) % d
-
-        segment = self._order[self._start : self._stop]
-        pts = self._coords[segment]
-        # One pass over midpoint comparisons: child index = the per-dimension
-        # "above the midpoint" bits packed most-significant-first, matching
-        # Box.bisect's lexicographic child order (bit 0 = lower half, with the
-        # half-open convention putting coord == midpoint in the upper child).
-        child_idx = np.zeros(segment.shape[0], dtype=np.intp)
-        for dim in dims:
-            mid = (self.box.low[dim] + self.box.high[dim]) / 2.0
-            child_idx = (child_idx << 1) | (pts[:, dim] >= mid)
-        # Stable counting order keeps each child's points in the parent's
-        # relative order, exactly like the historical per-child boolean masks.
-        self._order[self._start : self._stop] = segment[
-            np.argsort(child_idx, kind="stable")
-        ]
-        counts = np.bincount(child_idx, minlength=len(children_boxes))
-        bounds = (self._start + np.concatenate(([0], np.cumsum(counts)))).tolist()
-        self._children = [
-            SpatialNodeData(
-                box=child_box,
-                dims_per_split=self.dims_per_split,
-                next_dim=next_dim,
-                _coords=self._coords,
-                _order=self._order,
-                _start=bounds[i],
-                _stop=bounds[i + 1],
-            )
-            for i, child_box in enumerate(children_boxes)
-        ]
+        if self._children is None:
+            SpatialNodeData.split_many([self])
         return self._children
 
     @staticmethod
@@ -179,12 +135,10 @@ class SpatialNodeData:
     ) -> list[list["SpatialNodeData"]]:
         """Split every payload of one tree level in a single vectorized pass.
 
-        The decomposition engines hand over all nodes chosen to split at the
-        current depth.  Those payloads share one coordinate/permutation store
-        and one round-robin cursor, so their child indices can be computed by
-        one concatenated midpoint comparison and one stable key sort instead
-        of per-node numpy calls.  Falls back to node-by-node :meth:`split`
-        when the payloads do not share a store (or were split already).
+        The payloads of one level share a coordinate/permutation store and a
+        round-robin cursor, so one :func:`partition_windows` call splits them
+        all.  Falls back to node-by-node :meth:`split` when they do not (or
+        were split already).
 
         Returns one child list per payload, in input order — element ``i`` is
         exactly ``payloads[i].split()``.
@@ -203,38 +157,14 @@ class SpatialNodeData:
             return [p.split() for p in payloads]
 
         dims = first._split_dims()
-        k = len(dims)
-        fanout = 2**k
-        n = len(payloads)
-        sizes = [p._stop - p._start for p in payloads]
-        rows = np.concatenate([p._order[p._start : p._stop] for p in payloads])
-        pts = first._coords[rows]
-        sizes_arr = np.asarray(sizes, dtype=np.intp)
-        mids = np.array(
-            [
-                [(p.box.low[dim] + p.box.high[dim]) / 2.0 for dim in dims]
-                for p in payloads
-            ]
-        )
-        mids_per_point = np.repeat(mids, sizes_arr, axis=0)
-        child_idx = np.zeros(rows.shape[0], dtype=np.intp)
-        for j, dim in enumerate(dims):
-            child_idx = (child_idx << 1) | (pts[:, dim] >= mids_per_point[:, j])
-        # Sort once by (node, child): stable, so each child keeps its points
-        # in the parent's relative order, exactly like node-by-node split().
-        key = np.repeat(np.arange(n, dtype=np.intp), sizes_arr) * fanout + child_idx
-        rows_sorted = rows[np.argsort(key, kind="stable")]
-        counts = np.bincount(key, minlength=n * fanout).reshape(n, fanout)
-        offsets = np.cumsum(counts, axis=1)
-
-        results: list[list["SpatialNodeData"]] = []
-        pos = 0
-        for i, parent in enumerate(payloads):
-            size = sizes[i]
-            parent._order[parent._start : parent._stop] = rows_sorted[pos : pos + size]
-            pos += size
-            bounds = [parent._start] + (parent._start + offsets[i]).tolist()
-            next_dim = (parent.next_dim + parent.dims_per_split) % parent.box.ndim
+        mids = [[(p.box.low[d] + p.box.high[d]) / 2.0 for d in dims] for p in payloads]
+        starts = np.array([p._start for p in payloads], dtype=np.intp)
+        stops = np.array([p._stop for p in payloads], dtype=np.intp)
+        bounds = partition_windows(
+            first._coords, first._order, starts, stops, dims, np.array(mids)
+        ).tolist()
+        next_dim = (first.next_dim + first.dims_per_split) % first.box.ndim
+        for parent, edges in zip(payloads, bounds):
             parent._children = [
                 SpatialNodeData(
                     box=child_box,
@@ -242,10 +172,59 @@ class SpatialNodeData:
                     next_dim=next_dim,
                     _coords=parent._coords,
                     _order=parent._order,
-                    _start=bounds[j],
-                    _stop=bounds[j + 1],
+                    _start=edges[j],
+                    _stop=edges[j + 1],
                 )
                 for j, child_box in enumerate(parent.box.bisect(dims))
             ]
-            results.append(parent._children)
-        return results
+        return [p._children for p in payloads]
+
+
+def resolve_dims_per_split(ndim: int, dims_per_split: int | None) -> int:
+    """``dims_per_split`` validated for ``ndim`` dimensions (default: all)."""
+    if dims_per_split is None:
+        return ndim
+    if not 1 <= dims_per_split <= ndim:
+        raise ValueError(
+            f"dims_per_split must be in [1, {ndim}], got {dims_per_split}"
+        )
+    return dims_per_split
+
+
+def partition_windows(
+    coords: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    dims: list[int],
+    mids: np.ndarray,
+) -> np.ndarray:
+    """Stable-partition windows of ``order`` among their bisection children.
+
+    Window ``i`` is ``order[starts[i]:stops[i]]``, a node's rows of
+    ``coords``; it is split at ``mids[i]`` (one midpoint per dimension in
+    ``dims``).  A point's child rank packs its per-dimension "at or above
+    the midpoint" bits most-significant-first, which is
+    :meth:`~repro.domains.box.Box.bisect`'s lexicographic child order (the
+    half-open convention puts a point on the midpoint in the upper child).
+    One stable sort by (window, child) reorders every window in place, so
+    each child keeps its points in the parent's relative order and is again
+    a contiguous slice.  Returns the ``(n, 2^k + 1)`` child boundaries.
+    """
+    sizes = stops - starts
+    n, fanout = sizes.shape[0], 2 ** len(dims)
+    window = np.repeat(np.arange(n, dtype=np.intp), sizes)
+    positions = np.arange(window.shape[0], dtype=np.intp) + np.repeat(
+        starts - (np.cumsum(sizes) - sizes), sizes
+    )
+    rows = order[positions]
+    child = np.zeros(rows.shape[0], dtype=np.intp)
+    for j, dim in enumerate(dims):
+        child = (child << 1) | (coords[rows, dim] >= mids[window, j])
+    key = window * fanout + child
+    order[positions] = rows[np.argsort(key, kind="stable")]
+    counts = np.bincount(key, minlength=n * fanout).reshape(n, fanout)
+    bounds = np.empty((n, fanout + 1), dtype=np.intp)
+    bounds[:, 0] = starts
+    bounds[:, 1:] = starts[:, None] + np.cumsum(counts, axis=1)
+    return bounds

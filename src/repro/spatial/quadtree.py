@@ -7,24 +7,27 @@
    lies in exactly one leaf);
 3. rebuild intermediate counts as sums of their leaves.
 
+It runs on the array-native level engine of :mod:`repro.spatial.engine`,
+which writes the released :class:`~repro.spatial.flat.FlatHistogram`
+directly; the federated coordinator runs the same engine over aggregated
+shard counts.  :func:`privtree_decomposition` keeps the generic
+:func:`repro.core.privtree.privtree` engine, whose ``TreeNode`` payload tree
+is the structural reference the array engine is tested against.
+
 ``simpletree_histogram`` is the Algorithm 1 baseline: the per-node noisy
 counts it computed *are* the release (scale ``h/ε``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .._compat import deprecated_shim
-from ..core.node import TreeNode
 from ..core.params import PrivTreeParams
 from ..core.privtree import DEFAULT_MAX_DEPTH, privtree
 from ..core.simpletree import simpletree_for_epsilon
 from ..mechanisms.accountant import PrivacyAccountant
-from ..mechanisms.geometric import geometric_noise_interleaved
-from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from .dataset import SpatialDataset
+from .engine import LevelTree, WindowCounts, check_fit_options, fit_privtree
 from .histogram_tree import HistogramNode, HistogramTree
 from .payload import SpatialNodeData
 
@@ -90,71 +93,24 @@ def _privtree_histogram(
         recorded as two ledger entries summing to ``epsilon``); a private
         one with budget ``epsilon`` is created when omitted.
     """
-    if tuples_per_individual < 1:
-        raise ValueError(
-            f"tuples_per_individual must be >= 1, got {tuples_per_individual!r}"
-        )
-    if count_mechanism not in ("laplace", "geometric"):
-        raise ValueError(
-            f"count_mechanism must be 'laplace' or 'geometric', got {count_mechanism!r}"
-        )
-    if not 0 < tree_fraction < 1:
-        raise ValueError(f"tree_fraction must be in (0, 1), got {tree_fraction!r}")
+    check_fit_options(tree_fraction, tuples_per_individual, count_mechanism)
     gen = ensure_rng(rng)
     if accountant is None:
         accountant = PrivacyAccountant(epsilon)
-    eps_tree = accountant.spend(tree_fraction * epsilon, "privtree/tree structure")
-    eps_counts = accountant.spend(
-        (1.0 - tree_fraction) * epsilon, "privtree/leaf counts"
-    )
-
-    root = SpatialNodeData.root(dataset, dims_per_split)
-    params = PrivTreeParams.calibrate(
-        eps_tree,
-        fanout=root.fanout,
-        sensitivity=float(tuples_per_individual),
+    accountant.spend(tree_fraction * epsilon, "privtree/tree structure")
+    accountant.spend((1.0 - tree_fraction) * epsilon, "privtree/leaf counts")
+    flat = fit_privtree(
+        LevelTree(dataset.domain, dims_per_split),
+        WindowCounts(dataset.points),
+        gen,
+        epsilon=epsilon,
+        tree_fraction=tree_fraction,
         theta=theta,
+        tuples_per_individual=tuples_per_individual,
+        count_mechanism=count_mechanism,
+        max_depth=max_depth,
     )
-    tree = privtree(root, params, rng=gen, max_depth=max_depth)
-
-    # Leaf-count sensitivity: an individual's x points land in at most x
-    # leaves.  All leaf perturbations are drawn in one batched RNG call, in
-    # the DFS left-to-right leaf order of the historical per-leaf loop (both
-    # batch shapes consume the stream identically, so counts are unchanged).
-    nodes = tree.nodes()
-    leaves = [node for node in nodes if node.is_leaf]
-    exact = np.array([leaf.payload.score() for leaf in leaves], dtype=float)
-    if count_mechanism == "laplace":
-        count_scale = tuples_per_individual / eps_counts
-        noisy = exact + laplace_noise(count_scale, size=len(leaves), rng=gen)
-    else:
-        noisy = exact.astype(np.int64) + geometric_noise_interleaved(
-            eps_counts,
-            len(leaves),
-            sensitivity=float(tuples_per_individual),
-            rng=gen,
-        )
-    leaf_counts = {id(leaf): float(value) for leaf, value in zip(leaves, noisy)}
-    return _release_histogram(nodes, leaf_counts)
-
-
-def _release_histogram(
-    nodes: list[TreeNode[SpatialNodeData]],
-    leaf_counts: dict[int, float],
-) -> HistogramTree:
-    """Assemble the released tree: leaves get ``leaf_counts``, internal
-    nodes the sum of their children (reverse pre-order, so no recursion)."""
-    released: dict[int, HistogramNode] = {}
-    for node in reversed(nodes):
-        children = [released[id(c)] for c in node.children]
-        if node.is_leaf:
-            count = leaf_counts[id(node)]
-        else:
-            count = sum(c.count for c in children)
-        released[id(node)] = HistogramNode(
-            box=node.payload.box, count=count, children=children
-        )
-    return HistogramTree(root=released[id(nodes[0])])
+    return flat.to_tree()
 
 
 def _simpletree_histogram(

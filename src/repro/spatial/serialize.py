@@ -28,17 +28,6 @@ _FORMAT = "repro.histogram_tree"
 _VERSION = 1
 
 
-def _node_to_dict(node: HistogramNode) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "low": list(node.box.low),
-        "high": list(node.box.high),
-        "count": node.count,
-    }
-    if node.children:
-        out["children"] = [_node_to_dict(c) for c in node.children]
-    return out
-
-
 def _load_box(data: dict[str, Any]) -> Box:
     try:
         low = tuple(float(x) for x in data["low"])
@@ -84,13 +73,20 @@ def _node_from_dict(data: dict[str, Any], parent_box: Box | None = None) -> Hist
     return HistogramNode(box=box, count=count, children=children)
 
 
+def _node_to_dict(low, high, count, children) -> dict[str, Any]:
+    node: dict[str, Any] = {"low": low, "high": high, "count": count}
+    if children:
+        node["children"] = children
+    return node
+
+
 def tree_to_dict(tree: HistogramTree) -> dict[str, Any]:
-    """Plain-JSON representation of a released histogram tree."""
-    return {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "root": _node_to_dict(tree.root),
-    }
+    """Plain-JSON representation of a released histogram tree.
+
+    Written from the tree's flat arrays, so no pointer node is built.
+    """
+    root = tree.flat().fold(_node_to_dict)
+    return {"format": _FORMAT, "version": _VERSION, "root": root}
 
 
 def tree_from_dict(data: dict[str, Any]) -> HistogramTree:

@@ -122,8 +122,17 @@ class TestBenchCompareCLIWarning:
         )
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({"cases": {"old_case": {"optimized_s": 0.010}}}))
+        out_path = tmp_path / "new.json"
         code = main(
-            ["bench", "--compare", str(baseline), "--fail-above", "1.5"]
+            [
+                "bench",
+                "--out",
+                str(out_path),
+                "--compare",
+                str(baseline),
+                "--fail-above",
+                "1.5",
+            ]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -138,7 +147,25 @@ class TestBenchCompareCLIWarning:
         )
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(self.FAKE))
-        code = main(["bench", "--compare", str(baseline)])
+        code = main(
+            ["bench", "--out", str(tmp_path / "new.json"), "--compare", str(baseline)]
+        )
         out = capsys.readouterr().out
         assert code == 0
         assert "WARNING: baseline" not in out
+
+    def test_refuses_to_overwrite_the_compare_baseline(
+        self, monkeypatch, tmp_path
+    ):
+        def never_run(**kwargs):
+            raise AssertionError("the bench ran before the --out check")
+
+        monkeypatch.setattr("repro.experiments.run_perf_bench", never_run)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(self.FAKE))
+        before = baseline.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        # The same file by another spelling is refused too.
+        with pytest.raises(SystemExit, match="refusing to overwrite"):
+            main(["bench", "--out", "./baseline.json", "--compare", str(baseline)])
+        assert baseline.read_bytes() == before

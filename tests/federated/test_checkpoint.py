@@ -30,6 +30,12 @@ def small_2d():
     return SpatialDataset.from_points(gen.uniform(0.0, 100.0, size=(1200, 2)))
 
 
+# The coordinator can crash at every counts round of the small fit: one per
+# level (rounds 0, 2, ..., 20) plus the leaf round (22).  Each is the crash
+# window right before a commit.
+CRASH_ROUNDS = list(range(0, 23, 2))
+
+
 def _collectors(dataset):
     return [
         ShardCollector(i, N_SHARDS, shard)
@@ -98,7 +104,17 @@ class TestCheckpointedFit:
         assert rounds == sorted(rounds)
         assert len(rounds) == len(set(rounds))
 
-    @pytest.mark.parametrize("crash_round", [0, 2, 6])
+    def test_crash_rounds_cover_every_committed_round(self, small_2d, tmp_path):
+        checkpoint = FitCheckpoint(tmp_path / "fit.json")
+        _fit(small_2d, checkpoint=checkpoint)
+        counts_rounds = [
+            entry["round"]
+            for entry in checkpoint.load()["round_log"]
+            if entry["kind"] == "counts"
+        ]
+        assert counts_rounds == CRASH_ROUNDS
+
+    @pytest.mark.parametrize("crash_round", CRASH_ROUNDS)
     def test_crash_resume_is_bit_identical_with_one_spend(
         self, small_2d, tmp_path, crash_round
     ):
@@ -181,3 +197,77 @@ class TestTransactionalAccountant:
         with pytest.raises(Exception):
             accountant.restore([("a", 0.8), ("b", 0.8)])
         assert accountant.ledger == []
+
+
+class _CountingCollector(ShardCollector):
+    """Records every protocol call, to prove a resume failed before any round."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def blinded_counts(self, node_ids):
+        self.calls.append("blinded_counts")
+        return super().blinded_counts(node_ids)
+
+    def apply_splits(self, node_ids):
+        self.calls.append("apply_splits")
+        super().apply_splits(node_ids)
+
+
+class TestCorruptCheckpoint:
+    """A checkpoint that contradicts itself fails typed, before any round."""
+
+    @pytest.fixture()
+    def crashed(self, small_2d, tmp_path):
+        checkpoint = FitCheckpoint(tmp_path / "fit.json")
+        crasher = FaultInjector(FaultPlan(crash_coordinator_at_round=6), seed=0)
+        with pytest.raises(InjectedCoordinatorCrash):
+            _fit(small_2d, checkpoint=checkpoint, fault_injector=crasher)
+        return checkpoint
+
+    def _resume(self, small_2d, checkpoint, edit):
+        document = json.loads(checkpoint.path.read_text())
+        edit(document)
+        checkpoint.path.write_text(json.dumps(document))
+        collectors = [
+            _CountingCollector(i, N_SHARDS, shard)
+            for i, shard in enumerate(shard_dataset(small_2d, N_SHARDS))
+        ]
+        accountant = PrivacyAccountant(1.0)
+        with pytest.raises(CheckpointError) as excinfo:
+            FederatedPrivTree(collectors).fit_histogram(
+                1.0, rng=5, checkpoint=checkpoint, accountant=accountant, resume=True
+            )
+        assert all(c.calls == [] for c in collectors)
+        assert accountant.ledger == []
+        return str(excinfo.value)
+
+    def test_split_log_naming_an_unknown_node(self, small_2d, crashed):
+        def edit(document):
+            assert len(document["split_rounds"]) == 3
+            document["split_rounds"][1].append("v1.7")
+
+        assert "unknown node 'v1.7'" in self._resume(small_2d, crashed, edit)
+
+    def test_split_log_naming_a_node_of_another_level(self, small_2d, crashed):
+        def edit(document):
+            document["split_rounds"][2].append("v1")
+
+        assert "unknown node 'v1'" in self._resume(small_2d, crashed, edit)
+
+    def test_frontier_disagreeing_with_the_replayed_split_log(
+        self, small_2d, crashed
+    ):
+        def edit(document):
+            document["level_ids"] = document["level_ids"][:-1]
+
+        assert "disagrees with its replayed split log" in self._resume(
+            small_2d, crashed, edit
+        )
+
+    def test_frontier_in_another_order(self, small_2d, crashed):
+        def edit(document):
+            document["level_ids"] = document["level_ids"][::-1]
+
+        assert "disagrees" in self._resume(small_2d, crashed, edit)

@@ -527,11 +527,12 @@ class TestBenchGate:
         import json
 
         out_file = tmp_path / "bench.json"
-        args = self.ARGS + ["--out", str(out_file)]
-        assert main(args) == 0
+        assert main(self.ARGS + ["--out", str(out_file)]) == 0
         capsys.readouterr()
 
-        # A generous gate vs the run's own output passes with exit 0.
+        # A generous gate vs the first run's output passes with exit 0.
+        # (--out must name another file: the baseline is never overwritten.)
+        args = self.ARGS + ["--out", str(tmp_path / "bench_new.json")]
         code = main(
             args + ["--compare", str(out_file), "--fail-above", "1000"]
         )
