@@ -6,6 +6,12 @@ content-hash store id) and of its v2 binary artifact.  The digests were
 recorded from the pointer-tree implementation that preceded the
 array-native level engine; a change to either digest means a release
 changed, not a refactor.
+
+The answer digests pin ``FlatHistogram.range_count_arrays`` the same
+way: the sha256 of the float64 answer bytes over a seeded three-band
+workload plus exact node boxes.  They were recorded from the unblocked
+per-level traversal that preceded the blocked, column-wise one, so any
+change to the visited pairs or to the per-query summation order shows.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ from repro import from_spec
 from repro.core.privtree import MaxDepthWarning
 from repro.datasets import gowallalike, nyclike, roadlike
 from repro.domains import Box
+from repro.spatial.flat import FlatHistogram
+from repro.spatial.histogram_tree import HistogramNode, HistogramTree
+from repro.spatial.queries import generate_workload
 from repro.serve import write_artifact
 from repro.spatial import SpatialDataset, privtree_decomposition
 
@@ -190,3 +199,119 @@ def test_leaf_boxes_match_the_generic_decomposition(options):
     ]
     assert release.size == reference.size
     assert release.height == reference.height
+
+
+# ----------------------------------------------------------------------
+# Answers
+# ----------------------------------------------------------------------
+
+# name -> sha256 of the float64 answer bytes over ``_golden_workload``.
+ANSWER_DIGESTS = {
+    # The federated fit is the centralized release under another method
+    # name, so its answers equal privtree-default's.
+    "federated-2": "db38f2886e39a01d17a18f786ae05776643b8a49c3637fd7b2cf1803f8845f55",
+    "federated-3": "af411daad7ead6d83e3c771186008c0fa94360c17bc685a057d6c8ce20b62cc2",
+    "kdtree": "855e3f01204369c39dfa2bc2e14c3909dad5cf8f7d1b8e5df3d79f6c15f1c82a",
+    "privtree-4d": "facd444ba5734d555442430830804623fb057149b6bb077a67156f600006d536",
+    "privtree-default": "db38f2886e39a01d17a18f786ae05776643b8a49c3637fd7b2cf1803f8845f55",
+    "privtree-dims1": "d7ae4bdb0a686c29693d889faf31b3122705c96142aa9620e83ba1451b4aad9b",
+    "privtree-geometric-x3": "d8a9fd45c503ee4656bff313b7b4c2f35baf7db972775aa00550431c4bb3cedf",
+    "privtree-maxdepth4": "a9ae1346307dc17c1919419227b312a5a0295e79d695793e0dc9008ea331e8b2",
+    "privtree-theta5": "efd835ffe9c521ff20d61126b87a8178359ce6e3d6e2c991485ff539c413a1af",
+    "privtree-tiny-domain": "1bfefc7141c66c2371436b36e74528a10ee4662d2cf2a176dbd1f63d79859c6c",
+    "simpletree": "a97eaa5545542f12e7aaef2381317f0a85daef4bc0514081bf6c77b5e4891da2",
+}
+
+# Digests of the two cases that are not registered fits: a hand-built
+# tree whose fanout varies between nodes, and a batch several traversal
+# blocks long.
+VARIABLE_FANOUT_DIGEST = (
+    "c823f133ae0e9b5c702e7d3058e8a63349444107a174cf4db397e2ac57f92a13"
+)
+MULTI_BLOCK_DIGEST = (
+    "1ee1c61d2b487def73e6d7b6ff983da5231d8b58bca36a1e843e35db3ba99f20"
+)
+
+
+def _golden_workload(
+    flat: FlatHistogram, per_band: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``per_band`` queries in each paper band plus 40 exact node boxes.
+
+    Band queries are drawn on the unit cube and mapped onto the root box;
+    an extent that rounds to zero (the 16-ulp domain) is widened to one
+    ulp.  The node boxes share faces with their siblings and with their
+    own descendants, so boundary ties are exercised alongside random boxes.
+    """
+    unit = Box.unit(flat.ndim)
+    boxes = [
+        box
+        for offset, band in enumerate(("small", "medium", "large"))
+        for box in generate_workload(unit, band, per_band, rng=seed + offset)
+    ]
+    origin, extent = flat.lows[0], flat.highs[0] - flat.lows[0]
+    band_lows = origin + np.array([box.low for box in boxes]) * extent
+    band_highs = origin + np.array([box.high for box in boxes]) * extent
+    band_highs = np.maximum(band_highs, np.nextafter(band_lows, np.inf))
+    picks = np.random.default_rng(seed).integers(0, flat.size, size=40)
+    q_lows = np.vstack([band_lows, flat.lows[picks]])
+    q_highs = np.vstack([band_highs, flat.highs[picks]])
+    return q_lows, q_highs
+
+
+def _answer_digest(flat: FlatHistogram, q_lows, q_highs) -> str:
+    answers = np.asarray(flat.range_count_arrays(q_lows, q_highs), dtype=np.float64)
+    assert answers.shape == (q_lows.shape[0],)
+    return hashlib.sha256(answers.tobytes()).hexdigest()
+
+
+def _variable_fanout_tree() -> HistogramTree:
+    """A hand-built tree with fanouts 0, 2, 3 and 5 mixed across levels."""
+    gen = np.random.default_rng(5)
+    fanouts = [3, 2, 0, 5, 0, 2, 3, 0]
+
+    def build(low, high, depth, slot):
+        count = float(gen.normal(100.0 / (depth + 1), 7.0))
+        fanout = fanouts[slot % len(fanouts)] if depth < 4 else 0
+        axis = depth % len(low)
+        children = []
+        if fanout:
+            edges = np.linspace(low[axis], high[axis], fanout + 1)
+            for k in range(fanout):
+                child_low, child_high = list(low), list(high)
+                child_low[axis], child_high[axis] = edges[k], edges[k + 1]
+                children.append(build(child_low, child_high, depth + 1, slot * 7 + k + 1))
+        return HistogramNode(Box.from_arrays(low, high), count, children)
+
+    return HistogramTree(root=build([0.0, 0.0], [1.0, 1.0], 0, 0))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_release_answers_are_pinned(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MaxDepthWarning)
+        flat = _fit(case).flat()
+    q_lows, q_highs = _golden_workload(flat, per_band=200, seed=31)
+    assert _answer_digest(flat, q_lows, q_highs) == ANSWER_DIGESTS[case]
+
+
+def test_variable_fanout_answers_are_pinned():
+    flat = FlatHistogram.from_tree(_variable_fanout_tree())
+    fanouts = np.diff(flat.child_offsets)
+    assert set(fanouts.tolist()) == {0, 2, 3, 5}
+    q_lows, q_highs = _golden_workload(flat, per_band=200, seed=32)
+    assert _answer_digest(flat, q_lows, q_highs) == VARIABLE_FANOUT_DIGEST
+
+
+def test_multi_block_answers_are_pinned():
+    flat = _fit("privtree-default").flat()
+    q_lows, q_highs = _golden_workload(flat, per_band=1800, seed=33)
+    assert q_lows.shape[0] > 2 * 2048
+    assert _answer_digest(flat, q_lows, q_highs) == MULTI_BLOCK_DIGEST
+    # Each query's answer depends on that query alone, however the batch
+    # is cut.
+    cut = 1000
+    head = flat.range_count_arrays(q_lows[:cut], q_highs[:cut])
+    tail = flat.range_count_arrays(q_lows[cut:], q_highs[cut:])
+    whole = flat.range_count_arrays(q_lows, q_highs)
+    assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
