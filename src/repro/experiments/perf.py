@@ -843,6 +843,15 @@ def run_perf_bench(
 
     flat = synopsis.flat()  # compile outside the timed region, like callers do
     query_s, batched = _best_of(repeats, lambda: flat.range_count_many(queries))
+    # The traversal's span counts the (query, node) pairs it visits; per
+    # pair cost is the timed batch over that count.
+    tracer = _telemetry.enable()
+    try:
+        flat.range_count_many(queries)
+    finally:
+        _telemetry.disable()
+    (traverse,) = [r for r in tracer.records if r.name == "spatial.traverse"]
+    pairs = traverse.attrs["pairs"]
     query_ref_s, recursive = _best_of(
         repeats, lambda: reference_workload_answers(synopsis, queries)
     )
@@ -973,6 +982,8 @@ def run_perf_bench(
                 "reference_s": query_ref_s,
                 "speedup": query_ref_s / query_s,
                 "max_abs_deviation": max_deviation,
+                "pairs_per_query": pairs / n_queries,
+                "ns_per_pair": query_s * 1e9 / pairs,
             },
             "workload_generation": {
                 "optimized_s": workload_s,

@@ -157,6 +157,8 @@ class TestCommands:
         assert results["cases"]["federated_fit"]["bit_identical_to_centralized"] is True
         assert results["cases"]["federated_fit"]["overhead_vs_centralized"] > 0
         assert results["cases"]["workload_queries"]["max_abs_deviation"] < 1e-6
+        assert results["cases"]["workload_queries"]["pairs_per_query"] >= 1
+        assert results["cases"]["workload_queries"]["ns_per_pair"] > 0
         assert results["cases"]["topk_scoring"]["max_abs_deviation"] < 1e-9
         assert results["cases"]["workload_answering"]["speedup"] > 0
         assert results["cases"]["workload_answering"]["n_answers"] > 0

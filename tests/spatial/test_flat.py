@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.domains import Box
+from repro.spatial import flat as flat_module
 from repro.spatial import (
     FlatHistogram,
     HistogramNode,
@@ -41,8 +42,28 @@ def random_dataset(seed: int, n: int = 4000, d: int = 2) -> SpatialDataset:
     return SpatialDataset(pts, Box.unit(d))
 
 
+def variable_fanout_tree() -> HistogramTree:
+    """Root split in three along x; children split in two, five, or not at all."""
+    def slabs(box: Box, k: int, axis: int) -> list[Box]:
+        edges = np.linspace(box.low[axis], box.high[axis], k + 1)
+        out = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            low, high = list(box.low), list(box.high)
+            low[axis], high[axis] = lo, hi
+            out.append(Box(tuple(low), tuple(high)))
+        return out
+
+    left, middle, right = slabs(Box.unit(2), 3, 0)
+    children = [
+        HistogramNode(left, 30.0, [HistogramNode(b, 15.0) for b in slabs(left, 2, 1)]),
+        HistogramNode(middle, 40.0, [HistogramNode(b, 8.0) for b in slabs(middle, 5, 1)]),
+        HistogramNode(right, 30.0),
+    ]
+    return HistogramTree(root=HistogramNode(Box.unit(2), 100.0, children))
+
+
 def random_trees():
-    """A varied set of released trees: PrivTree and SimpleTree, 2-d and 4-d."""
+    """Varied trees: PrivTree and SimpleTree, 2-d and 4-d, fixed and mixed fanout."""
     trees = []
     for seed in range(4):
         data = random_dataset(seed)
@@ -53,6 +74,7 @@ def random_trees():
     data4 = random_dataset(5, n=2000, d=4)
     trees.append(privtree_histogram(data4, epsilon=1.0, rng=5))
     trees.append(privtree_histogram(random_dataset(6), epsilon=1.0, rng=6, dims_per_split=1))
+    trees.append(variable_fanout_tree())
     return trees
 
 
@@ -170,6 +192,81 @@ class TestBatchedSurface:
             tree.range_count_many(queries),
             [tree.range_count(q) for q in queries],
         )
+
+
+class TestBoundValidation:
+    """Bounds must be finite with low < high, the invariant Box enforces."""
+
+    @pytest.fixture
+    def flat(self):
+        return flatten_tree(privtree_histogram(random_dataset(0), epsilon=1.0, rng=0))
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            ((0.6, 0.2), (0.4, 0.8)),
+            ((0.2, 0.3), (0.4, 0.3)),
+            ((np.nan, 0.2), (0.5, 0.5)),
+            ((0.1, 0.1), (0.5, np.nan)),
+            ((-np.inf, 0.2), (0.5, 0.5)),
+            ((0.1, 0.1), (np.inf, 0.5)),
+        ],
+        ids=["inverted", "zero-width", "nan-low", "nan-high", "inf-low", "inf-high"],
+    )
+    def test_bad_bounds_raise_naming_the_query(self, flat, low, high):
+        q_lows = np.array([(0.1, 0.1), low, (0.2, 0.2)])
+        q_highs = np.array([(0.5, 0.5), high, (0.9, 0.9)])
+        with pytest.raises(ValueError, match="query 1"):
+            flat.range_count_arrays(q_lows, q_highs)
+
+    def test_infinite_box_raises(self, flat):
+        with pytest.raises(ValueError):
+            flat.range_count(Box((-np.inf, -np.inf), (np.inf, np.inf)))
+
+
+class TestTraversalPlan:
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_child_table_lists_csr_children(self, padded):
+        if padded:
+            flat = flatten_tree(variable_fanout_tree())
+        else:
+            flat = flatten_tree(privtree_histogram(random_dataset(1), epsilon=1.0, rng=1))
+        plan = flat._plan
+        assert plan.padded is padded
+        for i in range(flat.size):
+            children = flat.child_index[flat.child_offsets[i] : flat.child_offsets[i + 1]]
+            if children.size:
+                listed = plan.table[plan.row[i]]
+                assert listed[listed >= 0].tolist() == children.tolist()
+            else:
+                assert plan.row[i] == -1
+
+    def test_height_matches_pointer_depth(self):
+        for tree in random_trees():
+            depth, stack = 0, [(tree.root, 0)]
+            while stack:
+                node, level = stack.pop()
+                depth = max(depth, level)
+                stack.extend((child, level + 1) for child in node.children)
+            assert tree.flat().height == depth
+
+    def test_cached_arrays_are_shared_and_read_only(self):
+        flat = flatten_tree(privtree_histogram(random_dataset(2), epsilon=1.0, rng=2))
+        assert flat.is_leaf is flat.is_leaf
+        assert flat.volumes is flat.volumes
+        assert not flat.is_leaf.flags.writeable
+        assert not flat.volumes.flags.writeable
+        assert flat.volumes.tolist() == np.prod(flat.highs - flat.lows, axis=1).tolist()
+
+    def test_answers_do_not_depend_on_the_block_size(self, monkeypatch):
+        flat = flatten_tree(privtree_histogram(random_dataset(4), epsilon=1.0, rng=4))
+        queries = [
+            q for i, band in enumerate(BANDS)
+            for q in generate_workload(flat.to_tree().domain, band, 100, rng=50 + i)
+        ]
+        whole = flat.range_count_many(queries)
+        monkeypatch.setattr(flat_module, "BLOCK_QUERIES", 7)
+        assert flat.range_count_many(queries).tobytes() == whole.tobytes()
 
 
 class TestFlatHistogramIsFrozen:

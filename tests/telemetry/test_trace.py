@@ -199,6 +199,40 @@ class TestInstrumentationPrivacy:
         depths = [r.attrs["depth"] for r in levels]
         assert depths == sorted(set(depths))
 
+    def test_traverse_span_exposes_only_counts(self, uniform_2d):
+        from repro.spatial import generate_workload
+        from repro.spatial.quadtree import _privtree_histogram
+
+        tree = _privtree_histogram(uniform_2d, epsilon=1.0, rng=5)
+        queries = [
+            q
+            for i, band in enumerate(("small", "medium", "large"))
+            for q in generate_workload(uniform_2d.domain, band, 30, rng=60 + i)
+        ]
+        # Exact node boxes touch their neighbours: boundary ties count too.
+        queries += [node.box for node in list(tree.root.iter_nodes())[::7]]
+        flat = tree.flat()
+        tracer = telemetry.enable()
+        flat.range_count_many(queries)
+        traversals = [r for r in tracer.records if r.name == "spatial.traverse"]
+        # One span per call, not per block or level, with counts only.
+        assert len(traversals) == 1
+        attrs = traversals[0].attrs
+        assert set(attrs) == {"queries", "pairs", "levels"}
+        assert all(type(value) is int for value in attrs.values())
+        assert attrs["queries"] == len(queries)
+        assert attrs["levels"] <= tree.height + 1
+        # The pairs are exactly those the recursive §2.2 traversal visits.
+        visited = 0
+        for query in queries:
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                visited += 1
+                if node.box.intersects(query) and not query.contains_box(node.box):
+                    stack.extend(node.children)
+        assert attrs["pairs"] == visited
+
     def test_accountant_spend_events_match_ledger(self):
         from repro.mechanisms.accountant import PrivacyAccountant
 
