@@ -10,14 +10,11 @@ This bench sweeps both on the road analogue so the defaults can be checked
 against alternatives.
 """
 
+from repro import from_spec
 from repro.datasets import roadlike
 from repro.experiments import SweepResult, format_percent
 from repro.mechanisms import ensure_rng, spawn
-from repro.spatial import (
-    average_relative_error,
-    generate_workload,
-    privtree_histogram,
-)
+from repro.spatial import average_relative_error, generate_workload
 
 from conftest import FULL, emit
 
@@ -48,9 +45,9 @@ def _sweep(build_variants: dict, title: str) -> SweepResult:
 def bench_ablation_budget_split(benchmark):
     variants = {
         f"tree={frac:g}": (
-            lambda data, eps, rng, frac=frac: privtree_histogram(
-                data, eps, tree_fraction=frac, rng=rng
-            )
+            lambda data, eps, rng, frac=frac: from_spec(
+                "privtree", epsilon=eps, tree_fraction=frac
+            ).fit(data, rng=rng)
         )
         for frac in (0.2, 0.35, 0.5, 0.65, 0.8)
     }
@@ -67,9 +64,9 @@ def bench_ablation_budget_split(benchmark):
 def bench_ablation_theta(benchmark):
     variants = {
         f"theta={theta:g}": (
-            lambda data, eps, rng, theta=theta: privtree_histogram(
-                data, eps, theta=theta, rng=rng
-            )
+            lambda data, eps, rng, theta=theta: from_spec(
+                "privtree", epsilon=eps, theta=theta
+            ).fit(data, rng=rng)
         )
         for theta in (0.0, 10.0, 50.0, 200.0)
     }

@@ -10,15 +10,11 @@ bench measures PrivTree, DAWA and UG on the road analogue at three scales
 
 import numpy as np
 
-from repro.baselines import dawa_histogram, ug_histogram
+from repro import from_spec
 from repro.datasets import roadlike
 from repro.experiments import SweepResult, format_percent
 from repro.mechanisms import ensure_rng, spawn
-from repro.spatial import (
-    average_relative_error,
-    generate_workload,
-    privtree_histogram,
-)
+from repro.spatial import average_relative_error, generate_workload
 
 from conftest import FULL, emit
 
@@ -28,11 +24,7 @@ def _scale_sweep() -> SweepResult:
     epsilon = 0.8
     reps = 3 if FULL else 2
     gen = ensure_rng(5)
-    methods = {
-        "PrivTree": lambda d, r: privtree_histogram(d, epsilon, rng=r),
-        "DAWA": lambda d, r: dawa_histogram(d, epsilon, rng=r),
-        "UG": lambda d, r: ug_histogram(d, epsilon, rng=r),
-    }
+    methods = {"PrivTree": "privtree", "DAWA": "dawa", "UG": "ug"}
     result = SweepResult(
         title=f"Ablation — error vs dataset scale (road/medium, eps={epsilon})",
         row_label="n",
@@ -43,9 +35,12 @@ def _scale_sweep() -> SweepResult:
     for n in sizes:
         dataset = roadlike(n, rng=0)
         queries = generate_workload(dataset.domain, "medium", 60, rng=1)
-        for name, build in methods.items():
+        for name, method in methods.items():
+            estimator = from_spec(method, epsilon=epsilon)
             errs = [
-                average_relative_error(build(dataset, r).range_count, dataset, queries)
+                average_relative_error(
+                    estimator.fit(dataset, rng=r).range_count, dataset, queries
+                )
                 for r in spawn(ensure_rng(gen.integers(2**32)), reps)
             ]
             columns[name].append(float(np.mean(errs)))

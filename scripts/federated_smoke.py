@@ -53,12 +53,13 @@ def main(argv: list[str]) -> int:
 
     import numpy as np
 
+    from repro import from_spec
     from repro.datasets.spatial import gowallalike
     from repro.federated import EpochLedger, federated_privtree_histogram, shard_dataset
     from repro.mechanisms import PrivacyAccountant
+    from repro.queries import RangeCount
     from repro.serve import ReleaseStore
     from repro.spatial import generate_workload
-    from repro.spatial.quadtree import _privtree_histogram
     from repro.spatial.serialize import tree_to_dict
 
     # -- 1-2: one-shot federated fit, checked against the centralized engine.
@@ -66,7 +67,7 @@ def main(argv: list[str]) -> int:
     federated = federated_privtree_histogram(
         shard_dataset(data, N_SHARDS), epsilon=1.0, rng=0
     )
-    central = _privtree_histogram(data, epsilon=1.0, rng=0)
+    central = from_spec("privtree", epsilon=1.0).fit(data, rng=0).tree
     if tree_to_dict(federated) != tree_to_dict(central):
         print("FAIL: federated fit is not bit-identical to the centralized fit")
         return 1
@@ -139,7 +140,7 @@ def main(argv: list[str]) -> int:
                 time.sleep(0.2)
 
         body = json.dumps(
-            {"queries": [{"low": list(b.low), "high": list(b.high)} for b in boxes]}
+            {"queries": [RangeCount.of(b).to_wire() for b in boxes]}
         ).encode("utf-8")
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/releases/{latest_id}/query", data=body

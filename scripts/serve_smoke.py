@@ -102,8 +102,10 @@ def main(argv: list[str]) -> int:
                     return 1
                 time.sleep(0.2)
 
+        from repro.queries import RangeCount
+
         body = json.dumps(
-            {"queries": [{"low": list(b.low), "high": list(b.high)} for b in boxes]}
+            {"queries": [RangeCount.of(b).to_wire() for b in boxes]}
         ).encode("utf-8")
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/releases/{release_id}/query", data=body

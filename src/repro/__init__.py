@@ -23,8 +23,10 @@ Quickstart::
     print(release.query(Box((0.4, 0.4), (0.6, 0.6))))
     print(release.epsilon_spent, release.size)
 
-The historical free functions (``privtree_histogram`` and friends) remain
-importable as deprecated shims that produce identical results.
+The free functions of 1.3 (``privtree_histogram``, ``ug_histogram`` and
+the other ``*_histogram`` baselines) were removed in 1.4.0; each one is
+``from_spec(name, epsilon=..., **params).fit(data, rng=...)``, read as
+``.tree``, ``.grid`` or ``.synopsis`` where the bare synopsis is needed.
 """
 
 from . import api, federated, queries, serve
@@ -49,11 +51,9 @@ from .spatial import (
     SpatialDataset,
     average_relative_error,
     generate_workload,
-    privtree_histogram,
-    simpletree_histogram,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "Alphabet",
@@ -77,10 +77,8 @@ __all__ = [
     "generate_workload",
     "private_pst",
     "privtree",
-    "privtree_histogram",
     "queries",
     "serve",
     "simpletree",
-    "simpletree_histogram",
     "__version__",
 ]

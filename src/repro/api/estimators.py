@@ -2,9 +2,10 @@
 
 Each estimator is a frozen dataclass config plus a ``fit`` that (1) debits
 the accountant by exactly ``epsilon`` — recording the method's internal
-budget split as labelled ledger entries — and (2) delegates to the shared
-implementation the legacy free functions also use, so results are
-bit-identical to the historical surface under the same rng.
+budget split as labelled ledger entries — and (2) delegates to the
+method's module-private implementation (``_privtree_histogram``,
+``_ug_histogram``, ...), so a given rng gives the same release as every
+earlier version of this package.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ __all__ = [
     "SimpleTreeEstimator",
     "UGEstimator",
 ]
+
+
+def _budget_share(name: str, value: float) -> float:
+    """Check a budget-split fraction before any of the budget is spent."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
+    return value
 
 
 @register
@@ -230,7 +238,8 @@ class AGEstimator(Estimator):
     ) -> AdaptiveGridRelease:
         acct = self._accountant(accountant)
         with acct.transaction():
-            acct.spend(self.alpha * self.epsilon, "ag/level-1 grid")
+            share = _budget_share("alpha", self.alpha)
+            acct.spend(share * self.epsilon, "ag/level-1 grid")
             acct.spend((1.0 - self.alpha) * self.epsilon, "ag/level-2 grids")
             synopsis = _ag_histogram(
                 dataset,
@@ -302,7 +311,8 @@ class DawaEstimator(Estimator):
     ) -> GridRelease:
         acct = self._accountant(accountant)
         with acct.transaction():
-            acct.spend(self.rho * self.epsilon, "dawa/partition")
+            share = _budget_share("rho", self.rho)
+            acct.spend(share * self.epsilon, "dawa/partition")
             acct.spend((1.0 - self.rho) * self.epsilon, "dawa/bucket counts")
             synopsis = _dawa_histogram(
                 dataset,
@@ -370,7 +380,8 @@ class KDTreeEstimator(Estimator):
     ) -> SpatialTreeRelease:
         acct = self._accountant(accountant)
         with acct.transaction():
-            acct.spend(self.split_fraction * self.epsilon, "kdtree/split positions")
+            share = _budget_share("split_fraction", self.split_fraction)
+            acct.spend(share * self.epsilon, "kdtree/split positions")
             acct.spend((1.0 - self.split_fraction) * self.epsilon, "kdtree/leaf counts")
             tree = _kdtree_histogram(
                 dataset,

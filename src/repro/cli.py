@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_get = store_sub.add_parser("get", help="reload one stored release")
     store_get.add_argument("--store", required=True, help="store directory")
     store_get.add_argument("release_id", help="release id (see `repro store ls`)")
-    store_get.add_argument("--out", default=None, help="copy the release JSON here")
+    store_get.add_argument("--out", default=None, help="export the release JSON here")
 
     fed = sub.add_parser(
         "federated-fit",

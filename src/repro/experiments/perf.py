@@ -141,9 +141,9 @@ def reference_privtree_histogram(
 ) -> HistogramTree:
     """The pre-optimization §3.3+§3.4 pipeline (node-at-a-time, scalar RNG).
 
-    Stream-compatible with :func:`repro.spatial.quadtree.privtree_histogram`
-    at default parameters, so both produce the identical release for a
-    given seed — kept solely as the speedup baseline for ``repro bench``.
+    Stream-compatible with ``from_spec("privtree").fit`` at default
+    parameters, so both produce the identical release for a given seed —
+    kept solely as the speedup baseline for ``repro bench``.
     """
     gen = ensure_rng(rng)
     eps_tree = 0.5 * epsilon
@@ -571,6 +571,7 @@ def _serve_subprocess(store_root: str, port: int, workers: int):
     """Start ``repro serve`` in a subprocess; yields once /healthz answers."""
     import contextlib
     import os
+    import signal
     import subprocess
     import sys
     from pathlib import Path
@@ -607,6 +608,8 @@ def _serve_subprocess(store_root: str, port: int, workers: int):
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             env=env,
+            # Its own process group, so a kill reaches the forked workers too.
+            start_new_session=True,
         )
         try:
             deadline = time.perf_counter() + 30.0
@@ -630,7 +633,7 @@ def _serve_subprocess(store_root: str, port: int, workers: int):
             try:
                 proc.wait(timeout=10.0)
             except subprocess.TimeoutExpired:
-                proc.kill()
+                os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
 
     return _running()

@@ -4,9 +4,9 @@ PrivTree's product is a published synopsis that keeps answering queries
 long after the fitting process exits.  This package is that lifecycle:
 
 * :class:`ReleaseStore` — a directory-backed artifact store (JSON manifest
-  + per artifact both the v1 ``Release.to_json`` envelope and the v2
-  binary columnar form of :mod:`~repro.serve.artifact`, all written
-  atomically; loads memory-map the binary form when present).
+  + one v2 binary columnar artifact per release, see
+  :mod:`~repro.serve.artifact`, written atomically and memory-mapped on
+  load; ``repro store get --out`` exports the JSON form).
 * :func:`write_artifact` / :func:`read_artifact` — the v2 binary release
   artifact codec: one checksummed file whose array segments mmap straight
   into the flat query engines.
@@ -40,7 +40,7 @@ from .artifact import (
     write_artifact,
 )
 from .http import SynopsisHTTPServer, serve
-from .service import ArtifactLoadError, SynopsisService, parse_queries
+from .service import ArtifactLoadError, SynopsisService
 from .store import ReleaseStore, StoreError
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "SynopsisHTTPServer",
     "SynopsisService",
     "artifact_info",
-    "parse_queries",
     "read_artifact",
     "serve",
     "write_artifact",

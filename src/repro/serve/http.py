@@ -22,11 +22,10 @@ which worker serves the scrape.
 
 A JSON batch is a list of typed query documents (``{"format":
 "repro.query", "version": 1, "type": "range_count", ...}`` — see
-:mod:`repro.queries`), optionally mixed with the legacy raw forms
-(``{"low": ..., "high": ...}`` boxes for spatial releases, symbol-code
-lists for sequence releases; kept for one deprecation cycle).  Scalar
-queries answer as bare floats, vector queries (marginals, next-symbol
-distributions) as lists.
+:mod:`repro.queries`); any other entry, such as a bare ``{"low": ...,
+"high": ...}`` box or a symbol-code list, is a 400 naming its index.
+Scalar queries answer as bare floats, vector queries (marginals,
+next-symbol distributions) as lists.
 
 The query endpoint also negotiates the packed binary wire form by
 Content-Type: a ``application/x-repro-workload`` body (see
@@ -413,6 +412,11 @@ def _serve_forked(
         # serves every worker via fork inheritance.
         listener = _bind_listener(host, port)
         reuse_port = False
+    # Every worker's selector wakes on a new connection but only one wins
+    # the accept; a blocking listener would park the others in accept()
+    # where shutdown() can never reach them.  Non-blocking, the losers get
+    # an OSError, which socketserver treats as "no request".
+    listener.setblocking(False)
     address = listener.getsockname()[:2]
     children: list[int] = []
     try:

@@ -5,19 +5,19 @@ that built it; the store is how a curator *publishes* one.  Layout::
 
     <root>/
         manifest.json           # header + {id: manifest entry}
-        releases/<id>.json      # one v1 release envelope per artifact
-        releases/<id>.bin       # the v2 binary columnar artifact
+        releases/<id>.bin       # one v2 binary columnar artifact per release
 
-``put`` writes **both** forms: the v1 JSON envelope (exactly the
-``Release.to_json`` wire format of :mod:`repro.api.base`, parseable by
-third parties without this package) and the v2 binary columnar artifact
+``put`` writes **one** artifact per release: the v2 binary columnar form
 (:mod:`repro.serve.artifact`), whose flat arrays ``get`` memory-maps
 directly into the query engines — load is an mmap + checksum, not a
-parse.  ``get`` prefers the binary form and falls back to JSON, so stores
-written before v2 keep working; :meth:`migrate` upgrades them in place.
-Every write goes through the atomic helpers of :mod:`repro._io`, so a
-crash mid-publish can never leave a corrupt document for the query
-service to load.
+parse.  Only a kind without a binary codec (a third-party ``Release``
+subclass) is stored as ``releases/<id>.json``, the v1 ``Release.to_json``
+envelope.  ``get`` prefers the binary form and falls back to that JSON
+envelope, so stores written before v2 keep working; :meth:`migrate`
+upgrades them in place.  The JSON form of any stored release is an
+explicit export (``repro store get --out``).  Every write goes through
+the atomic helpers of :mod:`repro._io`, so a crash mid-publish can never
+leave a corrupt document for the query service to load.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ __all__ = ["ReleaseStore", "StoreError"]
 
 _FORMAT = "repro.release_store"
 _VERSION = 1
+
+#: Manifest fields of a release stored only as its v1 JSON envelope.
+_JSON_ONLY = {"artifact_format": "json-v1", "artifact_bytes": None}
 
 #: Release ids become file names and URL path segments; keep them tame.
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
@@ -120,12 +123,12 @@ class ReleaseStore:
         """Persist ``release`` and return its id.
 
         Without an explicit ``release_id`` the id is derived from the
-        method name and a hash of the document, so re-publishing an
-        identical artifact is idempotent.  An explicit id overwrites any
-        artifact already stored under it.
+        method name and a hash of the release's JSON document, so
+        re-publishing an identical artifact is idempotent.  An explicit id
+        overwrites any artifact already stored under it.
         """
-        document = json.dumps(release.to_json())
         if release_id is None:
+            document = json.dumps(release.to_json())
             digest = hashlib.sha256(document.encode("utf-8")).hexdigest()[:12]
             release_id = f"{release.method or release.kind}-{digest}"
         self.validate_id(release_id)
@@ -138,32 +141,37 @@ class ReleaseStore:
             "size": release.size,
             "dataset": dataset,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "path": f"releases/{release_id}.json",
         }
         with self._lock:
             # Artifact first, manifest second: a crash in between leaves an
             # unlisted (invisible) file, never a listed-but-missing one.
-            atomic_write_text(self._releases_dir / f"{release_id}.json", document)
-            entry.update(self._put_binary(release, release_id))
+            fields = self._write_binary(release, release_id)
+            if fields is None:
+                # A kind without a binary codec (third-party Release
+                # subclasses) is stored as its v1 JSON envelope instead.
+                name = f"releases/{release_id}.json"
+                atomic_write_text(self.root / name, json.dumps(release.to_json()))
+                fields = {"path": name, **_JSON_ONLY}
+            entry.update(fields)
             manifest = self._read_manifest()
             manifest["releases"][release_id] = entry
             self._write_manifest(manifest)
         return release_id
 
-    def _put_binary(self, release: Release, release_id: str) -> dict[str, Any]:
+    def _write_binary(self, release: Release, release_id: str) -> dict[str, Any] | None:
         """Write the v2 binary artifact; return its manifest fields.
 
-        A kind without a binary codec (third-party Release subclasses)
-        degrades to JSON-only storage instead of failing the publish."""
-        bin_path = self._releases_dir / f"{release_id}.bin"
+        Returns ``None`` for a kind without a binary codec."""
+        name = f"releases/{release_id}.bin"
         try:
-            n_bytes = write_artifact(release, bin_path)
+            n_bytes = write_artifact(release, self.root / name)
         except ArtifactError:
-            return {"artifact_format": "json-v1", "artifact_bytes": None}
+            return None
         return {
+            "path": name,
             "artifact_format": "binary-v2",
             "artifact_bytes": n_bytes,
-            "binary_path": f"releases/{release_id}.bin",
+            "binary_path": name,
         }
 
     def get(self, release_id: str) -> Release:
@@ -171,8 +179,8 @@ class ReleaseStore:
 
         When ``releases/<id>.bin`` exists it is checksum-verified and its
         arrays are memory-mapped straight into the flat query engines;
-        otherwise (pre-v2 stores) the v1 JSON envelope is parsed.  Both
-        paths answer bit-identical floats."""
+        otherwise (pre-v2 stores, kinds without a binary codec) the v1
+        JSON envelope is parsed.  Both paths answer bit-identical floats."""
         path = self._releases_dir / f"{release_id}.json"
         bin_path = self._releases_dir / f"{release_id}.bin"
         with self._lock:
@@ -200,6 +208,7 @@ class ReleaseStore:
                     if "artifact_format" not in entry:
                         entry.update(
                             {
+                                "path": f"releases/{release_id}.bin",
                                 "artifact_format": "binary-v2",
                                 "artifact_bytes": bin_path.stat().st_size,
                                 "binary_path": f"releases/{release_id}.bin",
@@ -209,9 +218,11 @@ class ReleaseStore:
                     continue
                 json_path = self._releases_dir / f"{release_id}.json"
                 release = release_from_json(json.loads(json_path.read_text()))
-                fields = self._put_binary(release, release_id)
-                entry.update(fields)
-                if fields.get("artifact_format") == "binary-v2":
+                fields = self._write_binary(release, release_id)
+                if fields is None:
+                    entry.update(_JSON_ONLY)
+                else:
+                    entry.update(fields)
                     upgraded.append(release_id)
             self._write_manifest(manifest)
         return upgraded

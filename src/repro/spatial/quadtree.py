@@ -1,6 +1,6 @@
 """Private spatial decompositions: PrivTree and SimpleTree end-to-end.
 
-``privtree_histogram`` is the full §3.3 + §3.4 pipeline:
+``from_spec("privtree").fit`` runs the full §3.3 + §3.4 pipeline:
 
 1. spend ε·tree_fraction on the PrivTree structure (Algorithm 2);
 2. spend the rest on Laplace-perturbed leaf counts (sensitivity 1: each point
@@ -14,13 +14,12 @@ shard counts.  :func:`privtree_decomposition` keeps the generic
 :func:`repro.core.privtree.privtree` engine, whose ``TreeNode`` payload tree
 is the structural reference the array engine is tested against.
 
-``simpletree_histogram`` is the Algorithm 1 baseline: the per-node noisy
+``from_spec("simpletree").fit`` is the Algorithm 1 baseline: the per-node noisy
 counts it computed *are* the release (scale ``h/ε``).
 """
 
 from __future__ import annotations
 
-from .._compat import deprecated_shim
 from ..core.params import PrivTreeParams
 from ..core.privtree import DEFAULT_MAX_DEPTH, privtree
 from ..core.simpletree import simpletree_for_epsilon
@@ -31,7 +30,7 @@ from .engine import LevelTree, WindowCounts, check_fit_options, fit_privtree
 from .histogram_tree import HistogramNode, HistogramTree
 from .payload import SpatialNodeData
 
-__all__ = ["privtree_histogram", "privtree_decomposition", "simpletree_histogram"]
+__all__ = ["privtree_decomposition"]
 
 
 def privtree_decomposition(
@@ -46,7 +45,7 @@ def privtree_decomposition(
 
     Returns the internal decomposition tree (no counts released).  Useful
     when the caller wants the partition itself, e.g. for private k-means
-    coarsening; most users want :func:`privtree_histogram` instead.
+    coarsening; most users want ``from_spec("privtree").fit`` instead.
     """
     root = SpatialNodeData.root(dataset, dims_per_split)
     params = PrivTreeParams.calibrate(epsilon, fanout=root.fanout, theta=theta)
@@ -135,9 +134,3 @@ def _simpletree_histogram(
             children=[released[id(c)] for c in node.children],
         )
     return HistogramTree(root=released[id(tree.root)])
-
-
-privtree_histogram = deprecated_shim(_privtree_histogram, "privtree_histogram", "privtree")
-simpletree_histogram = deprecated_shim(
-    _simpletree_histogram, "simpletree_histogram", "simpletree"
-)

@@ -92,3 +92,20 @@ class TestFitProducesRelease:
         assert release.method == name
         assert release.epsilon_spent == 1.0
         assert release.size >= 1
+
+
+class TestRetiredSurface:
+    def test_compatibility_layer_is_gone(self):
+        """The 1.3 free functions, parse_queries and _compat were removed in
+        1.4.0; the registry and the typed wire are the only paths."""
+        import importlib
+
+        import repro
+        import repro.baselines
+        import repro.serve
+
+        assert not hasattr(repro, "privtree_histogram")
+        assert not hasattr(repro.baselines, "ug_histogram")
+        assert not hasattr(repro.serve, "parse_queries")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro._compat")

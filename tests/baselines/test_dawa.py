@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import dawa_histogram, private_partition
+from repro import from_spec
+from repro.baselines import private_partition
 from repro.spatial import average_relative_error, generate_workload
 
 
@@ -46,22 +47,24 @@ class TestPrivatePartition:
 
 class TestDawaHistogram:
     def test_grid_shape_default(self, clustered_2d):
-        hist = dawa_histogram(clustered_2d, epsilon=1.0, rng=0)
-        assert hist.grid.shape == (128, 128)
+        release = from_spec("dawa", epsilon=1.0).fit(clustered_2d, rng=0)
+        assert release.grid.shape == (128, 128)
 
     def test_total_count_near_n(self, clustered_2d):
-        hist = dawa_histogram(clustered_2d, epsilon=1.0, rng=0)
-        assert hist.grid.counts.sum() == pytest.approx(clustered_2d.n, rel=0.2)
+        release = from_spec("dawa", epsilon=1.0).fit(clustered_2d, rng=0)
+        assert release.grid.counts.sum() == pytest.approx(clustered_2d.n, rel=0.2)
 
     def test_bucket_count_reported(self, clustered_2d):
-        hist = dawa_histogram(clustered_2d, epsilon=1.0, rng=0)
-        assert hist.n_buckets == len(hist.boundaries) - 1
-        assert 1 <= hist.n_buckets <= 128 * 128
+        boundaries = from_spec(
+            "dawa", epsilon=1.0
+        ).fit(clustered_2d, rng=0).meta["boundaries"]
+        assert boundaries[0] == 0 and boundaries[-1] == 128 * 128
+        assert 1 <= len(boundaries) - 1 <= 128 * 128
 
     def test_adapts_fewer_buckets_than_cells_on_skewed_data(self, clustered_2d):
         # The point of DAWA: empty space merges into large buckets.
-        hist = dawa_histogram(clustered_2d, epsilon=1.0, rng=1)
-        assert hist.n_buckets < hist.grid.n_cells / 2
+        release = from_spec("dawa", epsilon=1.0).fit(clustered_2d, rng=1)
+        assert len(release.meta["boundaries"]) - 1 < release.grid.n_cells / 2
 
     def test_4d_uses_morton(self):
         from repro.domains import Box
@@ -69,8 +72,8 @@ class TestDawaHistogram:
 
         pts = np.random.default_rng(0).uniform(0, 1, size=(2_000, 4)) * 0.999
         data = SpatialDataset(pts, Box.unit(4))
-        hist = dawa_histogram(data, epsilon=1.0, rng=0)
-        assert hist.grid.shape == (8, 8, 8, 8)
+        release = from_spec("dawa", epsilon=1.0).fit(data, rng=0)
+        assert release.grid.shape == (8, 8, 8, 8)
 
     def test_error_decreases_with_epsilon(self, clustered_2d):
         queries = generate_workload(clustered_2d.domain, "medium", 40, rng=2)
@@ -79,7 +82,9 @@ class TestDawaHistogram:
             errs[eps] = np.mean(
                 [
                     average_relative_error(
-                        dawa_histogram(clustered_2d, eps, rng=s).range_count,
+                        from_spec(
+                            "dawa", epsilon=eps
+                        ).fit(clustered_2d, rng=s).grid.range_count,
                         clustered_2d,
                         queries,
                     )
@@ -90,6 +95,6 @@ class TestDawaHistogram:
 
     def test_invalid_parameters(self, clustered_2d):
         with pytest.raises(ValueError):
-            dawa_histogram(clustered_2d, epsilon=1.0, cells_per_dim=100)
+            from_spec("dawa", epsilon=1.0, cells_per_dim=100).fit(clustered_2d)
         with pytest.raises(ValueError):
-            dawa_histogram(clustered_2d, epsilon=1.0, rho=1.5)
+            from_spec("dawa", epsilon=1.0, rho=1.5).fit(clustered_2d)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import hierarchy_histogram, split_branchings
+from repro import from_spec
+from repro.baselines import split_branchings
 from repro.spatial import average_relative_error, generate_workload
 
 
@@ -31,24 +32,24 @@ class TestSplitBranchings:
 
 class TestHierarchyHistogram:
     def test_paper_default_structure(self, uniform_2d):
-        hist = hierarchy_histogram(uniform_2d, epsilon=1.0, height=3, rng=0)
-        assert hist.levels == 3
-        assert hist.branchings == [8, 8]
-        assert hist.leaf_grid.shape == (64, 64)
+        release = from_spec("hierarchy", epsilon=1.0, height=3).fit(uniform_2d, rng=0)
+        assert release.meta["levels"] == 3
+        assert release.meta["branchings"] == [8, 8]
+        assert release.grid.shape == (64, 64)
 
     def test_total_count_near_n(self, uniform_2d):
-        hist = hierarchy_histogram(uniform_2d, epsilon=1.0, rng=0)
-        assert hist.leaf_grid.counts.sum() == pytest.approx(uniform_2d.n, rel=0.15)
+        release = from_spec("hierarchy", epsilon=1.0).fit(uniform_2d, rng=0)
+        assert release.grid.counts.sum() == pytest.approx(uniform_2d.n, rel=0.15)
 
     def test_consistency_children_sum_to_parent(self, uniform_2d):
         # After constrained inference, pooling the leaf level by the last
         # branching must reproduce the implied parent level exactly.
         from repro.baselines.hierarchy import _pool
 
-        hist = hierarchy_histogram(uniform_2d, epsilon=1.0, height=3, rng=0)
+        release = from_spec("hierarchy", epsilon=1.0, height=3).fit(uniform_2d, rng=0)
         # Rebuild with access to internals: run again at higher level count.
-        leaf = hist.leaf_grid.counts
-        parent = _pool(leaf, hist.branchings[-1])
+        leaf = release.grid.counts
+        parent = _pool(leaf, release.meta["branchings"][-1])
         # Pool once more to the coarsest level and compare totals: a proxy
         # that consistency kept mass balanced across levels.
         assert parent.sum() == pytest.approx(leaf.sum())
@@ -60,7 +61,9 @@ class TestHierarchyHistogram:
             errs[eps] = np.mean(
                 [
                     average_relative_error(
-                        hierarchy_histogram(uniform_2d, eps, rng=s).range_count,
+                        from_spec(
+                            "hierarchy", epsilon=eps
+                        ).fit(uniform_2d, rng=s).grid.range_count,
                         uniform_2d,
                         queries,
                     )
@@ -70,14 +73,14 @@ class TestHierarchyHistogram:
         assert errs[1.6] < errs[0.05]
 
     def test_taller_tree_more_levels(self, uniform_2d):
-        hist = hierarchy_histogram(
-            uniform_2d, epsilon=1.0, height=5, leaf_cells_exponent=6, rng=0
-        )
-        assert hist.branchings == [4, 4, 2, 2]
-        assert hist.leaf_grid.shape == (64, 64)
+        release = from_spec(
+            "hierarchy", epsilon=1.0, height=5, leaf_cells_exponent=6
+        ).fit(uniform_2d, rng=0)
+        assert release.meta["branchings"] == [4, 4, 2, 2]
+        assert release.grid.shape == (64, 64)
 
     def test_invalid_parameters(self, uniform_2d):
         with pytest.raises(ValueError):
-            hierarchy_histogram(uniform_2d, epsilon=0.0)
+            from_spec("hierarchy", epsilon=0.0).fit(uniform_2d)
         with pytest.raises(ValueError):
-            hierarchy_histogram(uniform_2d, epsilon=1.0, height=1)
+            from_spec("hierarchy", epsilon=1.0, height=1).fit(uniform_2d)

@@ -8,7 +8,8 @@ silent regression in the inference cannot hide behind end-to-end noise.
 import numpy as np
 import pytest
 
-from repro.baselines.hierarchy import _expand, _pool, hierarchy_histogram
+from repro import from_spec
+from repro.baselines.hierarchy import _expand, _pool
 from repro.domains import Box
 from repro.spatial import SpatialDataset
 
@@ -36,28 +37,29 @@ class TestPoolExpand:
 class TestHierarchyConsistency:
     @pytest.fixture
     def hist(self, clustered_2d):
-        return hierarchy_histogram(
-            clustered_2d, epsilon=1.0, height=4, leaf_cells_exponent=6, rng=0
-        )
+        return from_spec(
+            "hierarchy", epsilon=1.0, height=4, leaf_cells_exponent=6
+        ).fit(clustered_2d, rng=0)
 
     def test_leaf_level_shape(self, hist):
-        assert hist.leaf_grid.shape == (64, 64)
-        assert hist.branchings == [4, 4, 4]  # 2^6 leaves over 3 levels
+        assert hist.grid.shape == (64, 64)
+        assert hist.meta["branchings"] == [4, 4, 4]  # 2^6 leaves over 3 levels
 
     def test_inference_leaves_finite(self, hist):
-        assert np.isfinite(hist.leaf_grid.counts).all()
+        assert np.isfinite(hist.grid.counts).all()
 
     def test_mean_consistency_exact_between_levels(self, clustered_2d):
         # After the top-down pass, pooling the leaves by the last branching
         # must reproduce the implied parents exactly (the constraint the
         # inference enforces); run twice with the same seed and compare
         # levels derived from the final leaves.
-        hist = hierarchy_histogram(
-            clustered_2d, epsilon=1.0, height=3, leaf_cells_exponent=4, rng=1
-        )
-        leaves = hist.leaf_grid.counts
-        parents = _pool(leaves, hist.branchings[-1])
-        grandparents = _pool(parents, hist.branchings[-2])
+        release = from_spec(
+            "hierarchy", epsilon=1.0, height=3, leaf_cells_exponent=4
+        ).fit(clustered_2d, rng=1)
+        leaves = release.grid.counts
+        branchings = release.meta["branchings"]
+        parents = _pool(leaves, branchings[-1])
+        grandparents = _pool(parents, branchings[-2])
         # Totals propagate exactly (consistency), and each level is finite.
         assert parents.sum() == pytest.approx(leaves.sum())
         assert grandparents.sum() == pytest.approx(leaves.sum())
@@ -74,9 +76,9 @@ class TestHierarchyConsistency:
         hier_err = np.mean(
             [
                 average_relative_error(
-                    hierarchy_histogram(
-                        uniform_2d, eps, height=3, leaf_cells_exponent=6, rng=s
-                    ).range_count,
+                    from_spec("hierarchy", epsilon=eps, height=3, leaf_cells_exponent=6)
+                    .fit(uniform_2d, rng=s)
+                    .grid.range_count,
                     uniform_2d,
                     queries,
                 )
@@ -100,9 +102,7 @@ class TestHierarchyConsistency:
 
 class TestAgBlueBlend:
     def test_blend_lies_between_observations(self, clustered_2d):
-        from repro.baselines import ag_histogram
-
-        ag = ag_histogram(clustered_2d, epsilon=1.0, rng=0)
+        ag = from_spec("ag", epsilon=1.0).fit(clustered_2d, rng=0).synopsis
         # For every refined cell the consistent subtotal is a convex blend
         # of the parent's noisy count and the children's noisy sum -> the
         # exact count should usually be bracketed reasonably; verify the

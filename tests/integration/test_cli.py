@@ -441,13 +441,18 @@ class TestStoreCommand:
         store_dir = tmp_path / "store"
         assert self._put(store_dir, release_id="demo") == 0
         capsys.readouterr()
-        # Strip the store back to v1: no .bin, no manifest artifact fields.
+        # Rebuild a v1 store: the JSON envelope (from the JSON export) in
+        # place of the .bin, and no manifest artifact fields.
+        envelope = store_dir / "releases" / "demo.json"
+        export = ["store", "get", "--store", str(store_dir), "demo"]
+        assert main(export + ["--out", str(envelope)]) == 0
         (store_dir / "releases" / "demo.bin").unlink()
         manifest_path = store_dir / "manifest.json"
         manifest = json_mod.loads(manifest_path.read_text())
         for entry in manifest["releases"].values():
             for key in ("artifact_format", "artifact_bytes", "binary_path"):
                 entry.pop(key, None)
+            entry["path"] = "releases/demo.json"
         manifest_path.write_text(json_mod.dumps(manifest))
 
         assert main(["store", "migrate", "--store", str(store_dir)]) == 0

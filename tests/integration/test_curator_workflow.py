@@ -8,6 +8,7 @@ never sees the raw data, and validated for utility.
 import numpy as np
 import pytest
 
+from repro import from_spec
 from repro.domains import Box
 from repro.sequence import (
     MarkovModel,
@@ -20,7 +21,6 @@ from repro.spatial import (
     average_relative_error,
     generate_workload,
     load_tree,
-    privtree_histogram,
     save_tree,
 )
 
@@ -29,7 +29,7 @@ class TestSpatialCuratorWorkflow:
     def test_publish_ship_consume(self, clustered_2d, tmp_path):
         # Curator side: one ε-DP release, written to disk.
         epsilon = 1.0
-        synopsis = privtree_histogram(clustered_2d, epsilon, rng=0)
+        synopsis = from_spec("privtree", epsilon=epsilon).fit(clustered_2d, rng=0).tree
         path = tmp_path / "release.json"
         save_tree(synopsis, path)
 
@@ -53,7 +53,7 @@ class TestSpatialCuratorWorkflow:
         # and k-means without further privacy spend.
         from repro.applications import kmeans_cost, privtree_kmeans
 
-        synopsis = privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
+        synopsis = from_spec("privtree", epsilon=1.0).fit(clustered_2d, rng=0).tree
         raster = synopsis.to_grid((16, 16))
         assert raster.sum() == pytest.approx(synopsis.total_count, rel=1e-6)
         centers = privtree_kmeans(
@@ -82,15 +82,15 @@ class TestSequenceCuratorWorkflow:
             assert ll < 0.0
 
     def test_budget_is_respected_across_two_releases(self, tmp_path):
-        # Two independent releases must each carry their own budget: the
-        # curator splits manually and the accountant enforces the sum.
+        # Two independent releases must each carry their own budget: each
+        # fit debits the shared accountant, which enforces the sum.
         from repro.mechanisms import BudgetExceededError, PrivacyAccountant
 
         gen = np.random.default_rng(0)
         pts = gen.uniform(0, 1, size=(2_000, 2)) * 0.999
         data = SpatialDataset(pts, Box.unit(2))
         acc = PrivacyAccountant(1.0)
-        privtree_histogram(data, acc.spend(0.6, "coarse release"), rng=1)
-        privtree_histogram(data, acc.spend(0.4, "refined release"), rng=2)
+        from_spec("privtree", epsilon=0.6).fit(data, accountant=acc, rng=1)
+        from_spec("privtree", epsilon=0.4).fit(data, accountant=acc, rng=2)
         with pytest.raises(BudgetExceededError):
             acc.spend(0.1, "one release too many")

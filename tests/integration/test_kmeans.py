@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import from_spec
 from repro.applications import dplloyd_kmeans, kmeans_cost, privtree_kmeans
 from repro.domains import Box
-from repro.spatial import SpatialDataset, privtree_histogram
+from repro.spatial import SpatialDataset
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ class TestPrivtreeKmeans:
         assert private_cost < 10 * (2 * 0.03**2)
 
     def test_reuses_existing_synopsis(self, three_blobs):
-        synopsis = privtree_histogram(three_blobs, epsilon=2.0, rng=0)
+        synopsis = from_spec("privtree", epsilon=2.0).fit(three_blobs, rng=0).tree
         a = privtree_kmeans(three_blobs, k=3, epsilon=2.0, rng=1, synopsis=synopsis)
         b = privtree_kmeans(three_blobs, k=3, epsilon=2.0, rng=1, synopsis=synopsis)
         np.testing.assert_allclose(a, b)

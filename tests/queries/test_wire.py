@@ -111,34 +111,29 @@ class TestDecodeErrors:
 
 
 class TestDecodeBatch:
-    def test_legacy_boxes_decode_with_deprecation(self):
-        raw = [{"low": [0.1, 0.1], "high": [0.5, 0.5]}]
-        with pytest.warns(DeprecationWarning, match="raw query batches"):
-            workload = decode_query_batch(raw, spatial=True)
-        assert workload[0] == RangeCount(low=(0.1, 0.1), high=(0.5, 0.5))
-
-    def test_legacy_codes_decode_with_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="raw query batches"):
-            workload = decode_query_batch([[0, 1, 2]], spatial=False)
-        assert workload[0] == StringFrequency(codes=(0, 1, 2))
-
-    def test_mixed_typed_and_legacy(self):
-        raw = [
-            RangeCount(low=(0.0, 0.0), high=(1.0, 1.0)).to_wire(),
-            {"low": [0.1, 0.1], "high": [0.5, 0.5]},
-        ]
-        with pytest.warns(DeprecationWarning):
-            workload = decode_query_batch(raw, spatial=True)
-        assert len(workload) == 2
-
     def test_malformed_entry_reports_index(self):
-        raw = [
-            {"low": [0.0, 0.0], "high": [1.0, 1.0]},
-            {"low": [0.0, 0.0]},
+        good = RangeCount(low=(0.0, 0.0), high=(1.0, 1.0)).to_wire()
+        missing_high = {key: value for key, value in good.items() if key != "high"}
+        # A typed document missing a field, then the retired raw forms: a
+        # bare box, a bare code list and a string are not query documents.
+        for spatial, bad in (
+            (True, missing_high),
+            (True, {"low": [0.0, 0.0], "high": [1.0, 1.0]}),
+            (False, [0, 1, 2]),
+            (False, "12"),
+        ):
+            with pytest.raises(QueryDecodeError, match="query 1 is malformed") as exc:
+                decode_query_batch([good, bad], spatial=spatial)
+            assert exc.value.index == 1
+            assert '"format": "repro.query"' in str(exc.value)
+
+    def test_typed_batch_decodes_in_order(self):
+        queries = [
+            RangeCount(low=(0.1, 0.1), high=(0.5, 0.5)),
+            StringFrequency(codes=(0, 1, 2)),
         ]
-        with pytest.raises(QueryDecodeError, match="query 1 is malformed") as excinfo:
-            decode_query_batch(raw, spatial=True)
-        assert excinfo.value.index == 1
+        workload = decode_query_batch([q.to_wire() for q in queries], spatial=True)
+        assert list(workload) == queries
 
     def test_string_not_treated_as_code_list(self):
         with pytest.raises(QueryDecodeError, match="query 0 is malformed"):

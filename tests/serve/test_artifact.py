@@ -25,6 +25,15 @@ def _answers(release, kind):
     return release.query_many(QUERY_CODES)
 
 
+def _downgrade_to_envelope(store, release_id, release):
+    """Turn a stored entry's files into a pre-v2 store's: the v1 JSON
+    envelope in place of the binary artifact."""
+    (store.root / "releases" / f"{release_id}.json").write_text(
+        json.dumps(release.to_json())
+    )
+    (store.root / "releases" / f"{release_id}.bin").unlink()
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(FAST_PARAMS))
     def test_every_method_round_trips_bit_identically(
@@ -113,16 +122,34 @@ class TestIntegrity:
 
 
 class TestStoreIntegration:
-    def test_put_writes_both_forms(self, store, uniform_2d):
+    def test_put_writes_exactly_the_bin(self, store, uniform_2d):
         release, _ = fit_release("privtree", uniform_2d, None)
-        release_id = store.put(release, release_id="both")
-        assert (store.root / "releases" / "both.json").exists()
-        assert (store.root / "releases" / "both.bin").exists()
+        release_id = store.put(release, release_id="one")
+        assert [p.name for p in (store.root / "releases").iterdir()] == ["one.bin"]
         entry = store.manifest_entry(release_id)
         assert entry["artifact_format"] == "binary-v2"
+        assert entry["path"] == entry["binary_path"] == "releases/one.bin"
         assert (
             entry["artifact_bytes"]
-            == (store.root / "releases" / "both.bin").stat().st_size
+            == (store.root / "releases" / "one.bin").stat().st_size
+        )
+
+    def test_kind_without_codec_is_stored_as_json(self, store, uniform_2d, monkeypatch):
+        release, _ = fit_release("privtree", uniform_2d, None)
+
+        def no_codec(release, path):
+            raise ArtifactError("no binary codec")
+
+        monkeypatch.setattr("repro.serve.store.write_artifact", no_codec)
+        store.put(release, release_id="plain")
+        assert [p.name for p in (store.root / "releases").iterdir()] == ["plain.json"]
+        entry = store.manifest_entry("plain")
+        assert entry["path"] == "releases/plain.json"
+        assert entry["artifact_format"] == "json-v1"
+        assert entry["artifact_bytes"] is None
+        restored = store.get("plain")
+        assert np.array_equal(
+            _answers(restored, "spatial"), _answers(release, "spatial")
         )
 
     def test_get_prefers_binary_artifact(self, store, uniform_2d):
@@ -138,7 +165,7 @@ class TestStoreIntegration:
     def test_v1_only_store_still_loads(self, store, uniform_2d):
         release, _ = fit_release("privtree", uniform_2d, None)
         store.put(release, release_id="legacy")
-        (store.root / "releases" / "legacy.bin").unlink()
+        _downgrade_to_envelope(store, "legacy", release)
         restored = store.get("legacy")
         assert np.array_equal(
             _answers(restored, "spatial"), _answers(release, "spatial")
@@ -149,9 +176,10 @@ class TestStoreIntegration:
         sequence, _ = fit_release("pst", None, sequence_data)
         store.put(spatial, release_id="a")
         store.put(sequence, release_id="b")
-        # Simulate a pre-v2 store: drop the binaries and the manifest fields.
-        for release_id in ("a", "b"):
-            (store.root / "releases" / f"{release_id}.bin").unlink()
+        # Simulate a pre-v2 store: the JSON envelopes replace the binaries,
+        # and the manifest loses its artifact fields.
+        for release_id, release in (("a", spatial), ("b", sequence)):
+            _downgrade_to_envelope(store, release_id, release)
         manifest_path = store.root / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         for entry in manifest["releases"].values():

@@ -8,6 +8,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.queries import RangeCount, StringFrequency
 from repro.serve import SynopsisHTTPServer
 
 from .conftest import QUERY_BOXES, QUERY_CODES, fit_release
@@ -57,7 +58,11 @@ def _post(httpd, path, body):
 
 
 def _box_batch(boxes):
-    return {"queries": [{"low": list(b.low), "high": list(b.high)} for b in boxes]}
+    return {"queries": [RangeCount.of(b).to_wire() for b in boxes]}
+
+
+def _code_batch(code_lists):
+    return {"queries": [StringFrequency(codes=tuple(c)).to_wire() for c in code_lists]}
 
 
 class TestEndpoints:
@@ -94,7 +99,7 @@ class TestEndpoints:
     def test_sequence_query_batch_matches_in_process(self, server):
         httpd, ids, releases = server
         status, body = _post(
-            httpd, f"/releases/{ids['sequence']}/query", {"queries": QUERY_CODES}
+            httpd, f"/releases/{ids['sequence']}/query", _code_batch(QUERY_CODES)
         )
         assert status == 200
         expected = [float(v) for v in releases["sequence"].query_many(QUERY_CODES)]
@@ -127,25 +132,22 @@ class TestEndpoints:
         flat = np.array(scalars + vector)
         assert np.array_equal(flat, release.answer(workload))
 
-    def test_mixed_legacy_and_typed_batch_bit_identical(self, server):
-        """A batch mixing raw boxes with typed documents answers exactly the
-        in-process `answer` of the decoded workload — and the legacy slots
-        exactly match the historical raw-batch answers."""
-        from repro.queries import RangeCount, Workload
+    def test_range_count_batch_matches_answer_and_query_many(self, server):
+        """Typed range-count documents answer exactly the in-process
+        `answer` of the decoded workload, and exactly `query_many` on the
+        same boxes."""
+        from repro.queries import Workload
 
         httpd, ids, releases = server
         release = releases["spatial"]
-        raw = [
-            {"low": list(QUERY_BOXES[0].low), "high": list(QUERY_BOXES[0].high)},
-            RangeCount.of(QUERY_BOXES[1]).to_wire(),
-            {"low": list(QUERY_BOXES[2].low), "high": list(QUERY_BOXES[2].high)},
-        ]
-        status, body = _post(httpd, f"/releases/{ids['spatial']}/query", {"queries": raw})
+        status, body = _post(
+            httpd, f"/releases/{ids['spatial']}/query", _box_batch(QUERY_BOXES)
+        )
         assert status == 200
         expected = release.answer(Workload.ranges(QUERY_BOXES))
-        assert np.array_equal(np.array(body["answers"]), expected)
-        legacy = release.query_many(QUERY_BOXES)
-        assert np.array_equal(np.array(body["answers"]), legacy)
+        answers = np.array(body["answers"])
+        assert np.array_equal(answers, expected)
+        assert np.array_equal(answers, release.query_many(QUERY_BOXES))
 
     def test_typed_sequence_workload_over_http(self, server):
         from repro.queries import NextSymbolDistribution, StringFrequency, Workload
@@ -212,7 +214,6 @@ class TestErrorPaths:
         # fault: the client must see a 500 with a body, never a 400 or a
         # dropped connection.
         httpd, ids, _ = server
-        (store.root / "releases" / f"{ids['spatial']}.json").write_text("garbage")
         (store.root / "releases" / f"{ids['spatial']}.bin").write_bytes(b"garbage")
         status, body = _post(
             httpd, f"/releases/{ids['spatial']}/query", _box_batch(QUERY_BOXES)
@@ -230,6 +231,22 @@ class TestErrorPaths:
         assert status == 400
         assert "query 0 is malformed" in body["error"]
         assert body["query_index"] == 0
+        # Bare boxes, bare code lists and strings are not query documents;
+        # the 400 names the typed form the endpoint answers.
+        good = {
+            "spatial": _box_batch(QUERY_BOXES[:1])["queries"],
+            "sequence": _code_batch(QUERY_CODES[:1])["queries"],
+        }
+        for family, bad in (
+            ("spatial", {"low": [0.0, 0.0], "high": [1.0, 1.0]}),
+            ("sequence", [0, 1]),
+            ("sequence", "12"),
+        ):
+            batch = {"queries": good[family] + [bad]}
+            status, body = _post(httpd, f"/releases/{ids[family]}/query", batch)
+            assert status == 400
+            assert body["query_index"] == 1
+            assert '"format": "repro.query"' in body["error"]
 
     def test_one_bad_query_in_batch_is_structured_400(self, server):
         """One malformed entry in a large batch: the 400 body names the
@@ -567,6 +584,68 @@ class TestListenSocket:
             serve(store, "127.0.0.1", 0, workers=0)
 
 
+class TestForkedShutdown:
+    def test_sigterm_stops_every_worker(self, spatial_store):
+        """`repro serve --workers 2` exits on SIGTERM after serving traffic,
+        every worker included.  Each new connection wakes both workers but
+        only one accepts it; the other must not be left blocked in accept()."""
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+
+        store, ids = spatial_store
+        env = dict(os.environ)
+        package_root = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        body = json.dumps(_box_batch(QUERY_BOXES)).encode()
+        for _ in range(3):
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                port = probe.getsockname()[1]
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--store", str(store.root),
+                 "--port", str(port), "--workers", "2", "--quiet"],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                start_new_session=True,  # its own group: one killpg reaches all
+            )
+            try:
+                base = f"http://127.0.0.1:{port}"
+                deadline = time.monotonic() + 30
+                while True:
+                    try:
+                        urllib.request.urlopen(f"{base}/healthz", timeout=1).close()
+                        break
+                    except OSError:
+                        assert proc.poll() is None and time.monotonic() < deadline
+                        time.sleep(0.05)
+                for _ in range(6):  # one fresh connection each
+                    request = urllib.request.Request(
+                        f"{base}/releases/{ids[0]}/query", data=body
+                    )
+                    with urllib.request.urlopen(request, timeout=10) as resp:
+                        assert resp.status == 200
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=5) == 0
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)  # no worker outlives the parent
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+
+
 class TestConcurrency:
     def test_concurrent_batches_all_exact(self, server):
         httpd, ids, releases = server
@@ -592,7 +671,7 @@ class TestConcurrency:
                 status, body = _post(
                     httpd,
                     f"/releases/{ids['sequence']}/query",
-                    {"queries": QUERY_CODES},
+                    _code_batch(QUERY_CODES),
                 )
                 if status != 200 or body["answers"] != seq_expected:
                     failures.append(("sequence", status))

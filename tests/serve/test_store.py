@@ -129,7 +129,7 @@ class TestCrashSafety:
         # intact: the new bytes only land via os.replace.
         release, _ = fit_release("privtree", uniform_2d, None)
         release_id = store.put(release, release_id="synopsis")
-        before = (store.root / "releases" / "synopsis.json").read_text()
+        before = (store.root / "releases" / "synopsis.bin").read_bytes()
 
         def exploding_replace(src, dst):
             raise OSError("disk full")
@@ -140,7 +140,7 @@ class TestCrashSafety:
             store.put(other, release_id="synopsis")
         monkeypatch.undo()
 
-        assert (store.root / "releases" / "synopsis.json").read_text() == before
+        assert (store.root / "releases" / "synopsis.bin").read_bytes() == before
         assert not list((store.root / "releases").glob("*.tmp"))
         restored = store.get(release_id)
         assert restored.size == release.size

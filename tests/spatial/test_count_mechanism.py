@@ -3,22 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.spatial import privtree_histogram
+from repro import from_spec
 
 
 class TestGeometricCounts:
     def test_leaf_counts_are_integers(self, uniform_2d):
-        syn = privtree_histogram(
-            uniform_2d, epsilon=1.0, count_mechanism="geometric", rng=0
-        )
+        syn = from_spec(
+            "privtree", epsilon=1.0, count_mechanism="geometric"
+        ).fit(uniform_2d, rng=0).tree
         leaves = [n for n in syn.root.iter_nodes() if n.is_leaf]
         for leaf in leaves:
             assert leaf.count == int(leaf.count)
 
     def test_total_count_near_n(self, uniform_2d):
-        syn = privtree_histogram(
-            uniform_2d, epsilon=1.0, count_mechanism="geometric", rng=0
-        )
+        syn = from_spec(
+            "privtree", epsilon=1.0, count_mechanism="geometric"
+        ).fit(uniform_2d, rng=0).tree
         assert syn.total_count == pytest.approx(uniform_2d.n, rel=0.10)
 
     def test_comparable_accuracy_to_laplace(self, clustered_2d):
@@ -30,9 +30,9 @@ class TestGeometricCounts:
             errs[mech] = np.mean(
                 [
                     average_relative_error(
-                        privtree_histogram(
-                            clustered_2d, 0.8, count_mechanism=mech, rng=s
-                        ).range_count,
+                        from_spec(
+                            "privtree", epsilon=0.8, count_mechanism=mech
+                        ).fit(clustered_2d, rng=s).tree.range_count,
                         clustered_2d,
                         queries,
                     )
@@ -45,13 +45,14 @@ class TestGeometricCounts:
     def test_user_level_scaling_applies(self, uniform_2d):
         def spread(x: int) -> float:
             totals = [
-                privtree_histogram(
-                    uniform_2d,
+                from_spec(
+                    "privtree",
                     epsilon=0.5,
                     count_mechanism="geometric",
                     tuples_per_individual=x,
-                    rng=s,
-                ).total_count
+                )
+                .fit(uniform_2d, rng=s)
+                .tree.total_count
                 for s in range(20)
             ]
             return float(np.std(totals))
@@ -60,4 +61,6 @@ class TestGeometricCounts:
 
     def test_unknown_mechanism_rejected(self, uniform_2d):
         with pytest.raises(ValueError):
-            privtree_histogram(uniform_2d, epsilon=1.0, count_mechanism="gaussian")
+            from_spec(
+                "privtree", epsilon=1.0, count_mechanism="gaussian"
+            ).fit(uniform_2d)

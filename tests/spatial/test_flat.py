@@ -9,6 +9,7 @@ the maximal-covered-node logic rather than leaf-only shortcuts.
 import numpy as np
 import pytest
 
+from repro import from_spec
 from repro.domains import Box
 from repro.spatial import flat as flat_module
 from repro.spatial import (
@@ -18,8 +19,6 @@ from repro.spatial import (
     SpatialDataset,
     flatten_tree,
     generate_workload,
-    privtree_histogram,
-    simpletree_histogram,
 )
 
 BANDS = ["small", "medium", "large"]
@@ -67,20 +66,23 @@ def random_trees():
     trees = []
     for seed in range(4):
         data = random_dataset(seed)
-        trees.append(privtree_histogram(data, epsilon=1.0, rng=seed))
+        trees.append(from_spec("privtree", epsilon=1.0).fit(data, rng=seed).tree)
         trees.append(
-            simpletree_histogram(data, epsilon=1.0, height=5, theta=0.0, rng=seed)
+            from_spec(
+                "simpletree", epsilon=1.0, height=5, theta=0.0
+            ).fit(data, rng=seed).tree
         )
     data4 = random_dataset(5, n=2000, d=4)
-    trees.append(privtree_histogram(data4, epsilon=1.0, rng=5))
-    trees.append(privtree_histogram(random_dataset(6), epsilon=1.0, rng=6, dims_per_split=1))
+    trees.append(from_spec("privtree", epsilon=1.0).fit(data4, rng=5).tree)
+    one_axis = from_spec("privtree", epsilon=1.0, dims_per_split=1)
+    trees.append(one_axis.fit(random_dataset(6), rng=6).tree)
     trees.append(variable_fanout_tree())
     return trees
 
 
 class TestCompilation:
     def test_arrays_mirror_tree(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(0), rng=0).tree
         flat = flatten_tree(tree)
         assert flat.size == tree.size
         assert flat.leaf_count == tree.leaf_count
@@ -94,7 +96,7 @@ class TestCompilation:
 
     def test_topology_consistent(self):
         flat = flatten_tree(
-            privtree_histogram(random_dataset(1), epsilon=1.0, rng=1)
+            from_spec("privtree", epsilon=1.0).fit(random_dataset(1), rng=1).tree
         )
         assert flat.parents[0] == -1
         for i in range(flat.size):
@@ -107,7 +109,7 @@ class TestCompilation:
         assert sorted(flat.child_index) == list(range(1, flat.size))
 
     def test_to_tree_round_trip(self):
-        tree = privtree_histogram(random_dataset(2), epsilon=1.0, rng=2)
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(2), rng=2).tree
         rebuilt = flatten_tree(tree).to_tree()
         assert rebuilt.size == tree.size
         originals = list(tree.root.iter_nodes())
@@ -117,7 +119,7 @@ class TestCompilation:
             assert a.count == b.count
 
     def test_cached_on_histogram_tree(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(0), rng=0).tree
         assert tree.flat() is tree.flat()
 
 
@@ -136,12 +138,12 @@ class TestEquivalence:
             assert np.abs(single - recursive).max() <= 1e-9 * scale
 
     def test_query_covering_whole_domain(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(0), rng=0).tree
         whole = Box((-1.0, -1.0), (2.0, 2.0))
         assert tree.flat().range_count(whole) == pytest.approx(tree.total_count)
 
     def test_query_outside_domain(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(0), rng=0).tree
         outside = Box((2.0, 2.0), (3.0, 3.0))
         assert tree.flat().range_count(outside) == 0.0
 
@@ -173,12 +175,12 @@ class TestEquivalence:
 
 class TestBatchedSurface:
     def test_empty_workload(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(0), rng=0).tree
         assert tree.flat().range_count_many([]).shape == (0,)
 
     def test_dimension_mismatch_raises(self):
         flat = flatten_tree(
-            privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+            from_spec("privtree", epsilon=1.0).fit(random_dataset(0), rng=0).tree
         )
         with pytest.raises(ValueError):
             flat.range_count(Box.unit(3))
@@ -186,7 +188,7 @@ class TestBatchedSurface:
             flat.range_count_many([Box.unit(3)])
 
     def test_tree_range_count_many_delegates(self):
-        tree = privtree_histogram(random_dataset(3), epsilon=1.0, rng=3)
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(3), rng=3).tree
         queries = generate_workload(tree.root.box, "medium", 10, rng=9)
         assert np.allclose(
             tree.range_count_many(queries),
@@ -199,7 +201,8 @@ class TestBoundValidation:
 
     @pytest.fixture
     def flat(self):
-        return flatten_tree(privtree_histogram(random_dataset(0), epsilon=1.0, rng=0))
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(0), rng=0).tree
+        return flatten_tree(tree)
 
     @pytest.mark.parametrize(
         "low, high",
@@ -230,7 +233,8 @@ class TestTraversalPlan:
         if padded:
             flat = flatten_tree(variable_fanout_tree())
         else:
-            flat = flatten_tree(privtree_histogram(random_dataset(1), epsilon=1.0, rng=1))
+            tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(1), rng=1).tree
+            flat = flatten_tree(tree)
         plan = flat._plan
         assert plan.padded is padded
         for i in range(flat.size):
@@ -251,7 +255,8 @@ class TestTraversalPlan:
             assert tree.flat().height == depth
 
     def test_cached_arrays_are_shared_and_read_only(self):
-        flat = flatten_tree(privtree_histogram(random_dataset(2), epsilon=1.0, rng=2))
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(2), rng=2).tree
+        flat = flatten_tree(tree)
         assert flat.is_leaf is flat.is_leaf
         assert flat.volumes is flat.volumes
         assert not flat.is_leaf.flags.writeable
@@ -259,7 +264,8 @@ class TestTraversalPlan:
         assert flat.volumes.tolist() == np.prod(flat.highs - flat.lows, axis=1).tolist()
 
     def test_answers_do_not_depend_on_the_block_size(self, monkeypatch):
-        flat = flatten_tree(privtree_histogram(random_dataset(4), epsilon=1.0, rng=4))
+        tree = from_spec("privtree", epsilon=1.0).fit(random_dataset(4), rng=4).tree
+        flat = flatten_tree(tree)
         queries = [
             q for i, band in enumerate(BANDS)
             for q in generate_workload(flat.to_tree().domain, band, 100, rng=50 + i)
@@ -272,7 +278,7 @@ class TestTraversalPlan:
 class TestFlatHistogramIsFrozen:
     def test_dataclass_frozen(self):
         flat = flatten_tree(
-            privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+            from_spec("privtree", epsilon=1.0).fit(random_dataset(0), rng=0).tree
         )
         with pytest.raises(AttributeError):
             flat.counts = np.zeros(1)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import from_spec
 from repro.domains import Box
-from repro.spatial import privtree_histogram
 from repro.spatial.histogram_tree import HistogramNode, HistogramTree
 
 
@@ -38,7 +38,7 @@ class TestToGrid:
         assert grid[0, 0] == pytest.approx(100.0)
 
     def test_matches_range_count_on_cells(self, clustered_2d):
-        syn = privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
+        syn = from_spec("privtree", epsilon=1.0).fit(clustered_2d, rng=0).tree
         shape = (8, 8)
         grid = syn.to_grid(shape)
         for i in (0, 3, 7):

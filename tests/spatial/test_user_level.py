@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.spatial import privtree_histogram
+from repro import from_spec
 
 
 class TestTuplesPerIndividual:
@@ -12,9 +12,9 @@ class TestTuplesPerIndividual:
         # deviation across seeds must grow accordingly.
         def total_spread(x: int) -> float:
             totals = [
-                privtree_histogram(
-                    uniform_2d, epsilon=0.5, tuples_per_individual=x, rng=s
-                ).total_count
+                from_spec(
+                    "privtree", epsilon=0.5, tuples_per_individual=x
+                ).fit(uniform_2d, rng=s).tree.total_count
                 for s in range(25)
             ]
             return float(np.std(totals))
@@ -28,20 +28,22 @@ class TestTuplesPerIndividual:
         for x in (1, 20):
             sizes[x] = np.mean(
                 [
-                    privtree_histogram(
-                        clustered_2d, epsilon=1.0, tuples_per_individual=x, rng=s
-                    ).size
+                    from_spec(
+                        "privtree", epsilon=1.0, tuples_per_individual=x
+                    ).fit(clustered_2d, rng=s).tree.size
                     for s in range(5)
                 ]
             )
         assert sizes[20] < sizes[1]
 
     def test_default_is_event_level(self, uniform_2d):
-        a = privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
-        b = privtree_histogram(uniform_2d, epsilon=1.0, tuples_per_individual=1, rng=0)
+        a = from_spec("privtree", epsilon=1.0).fit(uniform_2d, rng=0).tree
+        b = from_spec(
+            "privtree", epsilon=1.0, tuples_per_individual=1
+        ).fit(uniform_2d, rng=0).tree
         assert a.size == b.size
         assert a.total_count == pytest.approx(b.total_count)
 
     def test_invalid_x(self, uniform_2d):
         with pytest.raises(ValueError):
-            privtree_histogram(uniform_2d, epsilon=1.0, tuples_per_individual=0)
+            from_spec("privtree", epsilon=1.0, tuples_per_individual=0).fit(uniform_2d)
