@@ -136,6 +136,7 @@ def main(argv: list[str]) -> int:
 
 
 def _scenarios(n_points: int) -> int:
+    from repro import from_spec
     from repro.datasets.spatial import gowallalike
     from repro.federated import (
         CollectorCrashError,
@@ -151,7 +152,6 @@ def _scenarios(n_points: int) -> int:
     )
     from repro.federated.transport import RetryPolicy
     from repro.mechanisms import PrivacyAccountant
-    from repro.spatial.quadtree import _privtree_histogram
     from repro.spatial.serialize import tree_to_dict
 
     data = gowallalike(n_points, rng=SEED)
@@ -159,7 +159,7 @@ def _scenarios(n_points: int) -> int:
     reference = FederatedPrivTree(
         [ShardCollector(i, N_SHARDS, s) for i, s in enumerate(shards)]
     ).fit_histogram(EPSILON, rng=SEED)
-    central = _privtree_histogram(data, EPSILON, rng=SEED)
+    central = from_spec("privtree", epsilon=EPSILON).fit(data, rng=SEED).tree
     if tree_to_dict(reference) != tree_to_dict(central):
         print("FAIL: in-process federated fit deviates from centralized")
         return 1

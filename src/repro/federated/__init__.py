@@ -6,8 +6,8 @@ only ever consumes per-node counts, so the fit factors cleanly into three
 parties borrowed from PrivCount's architecture:
 
 * :class:`ShardCollector` — holds one partition of the data, mirrors the
-  coordinator's splits on its local payload tree, and answers per-node
-  count queries with **additively blinded** ``uint64`` shares
+  coordinator's splits on the level engine's count windows, and answers
+  per-node count queries with **additively blinded** ``uint64`` shares
   (pairwise-cancelling mask streams, :mod:`repro.federated.blinding`);
 * :class:`SecureAggregator` — sums the shares; masks telescope away,
   recovering exact global counts without any party seeing a raw per-shard

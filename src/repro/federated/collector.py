@@ -3,9 +3,9 @@
 A :class:`ShardCollector` plays PrivCount's *data collector* role.  It holds
 one shard of the sensitive points (over the **global** domain, so every
 shard's decomposition geometry matches the coordinator's), mirrors the
-coordinator's split decisions on its local
-:class:`~repro.spatial.payload.SpatialNodeData` tree, and answers per-node
-count queries by emitting additively blinded ``uint64`` shares.  The raw
+coordinator's splits on the centralized fit's count source
+(:class:`~repro.spatial.engine.WindowCounts`), and answers per-node count
+queries by emitting additively blinded ``uint64`` shares.  The raw
 per-shard counts never leave the collector: every emitted vector is blinded
 by the pairwise masks of :class:`~repro.federated.blinding.PairwiseBlinder`,
 so only the sum across *all* shards — taken by the
@@ -27,10 +27,10 @@ import numpy as np
 from ..domains.box import Box
 from ..mechanisms.rng import SeedLike
 from ..spatial.dataset import SpatialDataset
-from ..spatial.payload import SpatialNodeData
+from ..spatial.engine import LevelTree, WindowCounts
 from .blinding import PairwiseBlinder
 
-__all__ = ["ROOT_NODE_ID", "ShardCollector", "child_node_id"]
+__all__ = ["ROOT_NODE_ID", "NodeIds", "ShardCollector", "child_node_id"]
 
 #: The coordinator and every collector agree on this id for the root box
 #: (the paper's ``v1`` covering all of Ω).
@@ -47,8 +47,37 @@ def child_node_id(parent_id: str, child_index: int) -> str:
     return f"{parent_id}.{child_index}"
 
 
+class NodeIds:
+    """Path ids in BFS order, as every party names nodes: a split appends
+    ``child_node_id(parent, rank)`` for its parents, and these become the
+    frontier.  Lookups raise ``KeyError`` carrying the offending id."""
+
+    def __init__(self) -> None:
+        self.ids, self.frontier = [ROOT_NODE_ID], [ROOT_NODE_ID]
+        self._index = {ROOT_NODE_ID: 0}
+
+    def bfs(self, node_ids: list[str]) -> np.ndarray:
+        """BFS indices of ``node_ids``."""
+        return np.array([self._index[node_id] for node_id in node_ids], dtype=np.intp)
+
+    def frontier_positions(self, node_ids: list[str]) -> np.ndarray:
+        """Ascending, distinct positions of frontier nodes ``node_ids``."""
+        positions = self.bfs(node_ids) - (len(self.ids) - len(self.frontier))
+        if np.any(positions < 0):
+            raise KeyError(node_ids[int(np.argmax(positions < 0))])
+        return np.unique(positions)
+
+    def split(self, parents: np.ndarray, fanout: int) -> list[str]:
+        """Name the children of frontier nodes ``parents``; return their ids."""
+        parent_ids = [self.frontier[i] for i in parents]
+        self.frontier = [child_node_id(p, j) for p in parent_ids for j in range(fanout)]
+        self._index.update((c, i) for i, c in enumerate(self.frontier, len(self.ids)))
+        self.ids += self.frontier
+        return parent_ids
+
+
 class ShardCollector:
-    """One shard's worker: local payload tree + blinded count answers.
+    """One shard's worker: local level engine + blinded count answers.
 
     Parameters
     ----------
@@ -76,8 +105,9 @@ class ShardCollector:
         self.shard_id = shard_id
         self.n_shards = n_shards
         self._blinder = PairwiseBlinder(shard_id, n_shards, blinding_seed)
-        root = SpatialNodeData.root(dataset, dims_per_split)
-        self._payloads: dict[str, SpatialNodeData] = {ROOT_NODE_ID: root}
+        self._tree = LevelTree(dataset.domain, dims_per_split)
+        self._counts = WindowCounts(dataset.points)
+        self._names = NodeIds()
         self._domain = dataset.domain
         self._n_points = dataset.n
         self._rounds_served = 0
@@ -97,7 +127,7 @@ class ShardCollector:
     @property
     def dims_per_split(self) -> int:
         """Dimensions bisected per split (fanout β = 2^dims_per_split)."""
-        return self._payloads[ROOT_NODE_ID].dims_per_split
+        return self._tree.dims_per_split
 
     def rekey(self, pair_seeds: Mapping[tuple[int, int], int]) -> None:
         """Replace the derived-stream blinder with key-exchange pair seeds.
@@ -124,36 +154,31 @@ class ShardCollector:
         ``len(node_ids)`` draws, so the coordinator must query every
         collector with the same id list in the same round order.
         """
-        counts = np.empty(len(node_ids), dtype=np.int64)
-        for i, node_id in enumerate(node_ids):
-            payload = self._lookup(node_id)
-            counts[i] = int(payload.score())
+        bfs = self._find(self._names.bfs, node_ids)
         self._rounds_served += 1
-        return self._blinder.blind(counts)
+        return self._blinder.blind(self._counts.leaf_counts(bfs))
 
     def apply_splits(self, node_ids: list[str]) -> None:
         """Mirror the coordinator's split decision for ``node_ids``.
 
-        Splits every named node's local payload (one vectorized pass over
-        the whole level via ``split_many``) and registers the children under
-        their canonical ids.  Raises ``KeyError`` on an unknown id — a
-        protocol error, not a data condition.  Re-applying a split the
-        collector has already performed is an idempotent no-op producing
-        identical children (splitting is deterministic in the parent
-        payload), which is what lets a resumed coordinator safely replay
-        its last uncommitted round.
+        Splits the named frontier nodes' windows in one vectorized pass.  An
+        id that is unknown or off the frontier (already split, or a repeated
+        split list) raises ``KeyError`` naming it before any window moves —
+        a protocol error, not a data condition.  Retries never reach here
+        twice: the TCP endpoint answers a replayed round from its cache, and
+        an in-process resume replays onto fresh collectors.
         """
-        payloads = [self._lookup(node_id) for node_id in node_ids]
-        children_lists = SpatialNodeData.split_many(payloads)
-        for node_id, children in zip(node_ids, children_lists):
-            for j, child in enumerate(children):
-                self._payloads[child_node_id(node_id, j)] = child
+        parents = self._find(self._names.frontier_positions, node_ids)
+        dims = self._tree.split_dims()
+        self._counts.split(parents, dims, self._tree.split(parents))
+        self._names.split(parents, self._tree.fanout)
 
-    def _lookup(self, node_id: str) -> SpatialNodeData:
+    def _find(self, lookup, node_ids: list[str]) -> np.ndarray:
         try:
-            return self._payloads[node_id]
-        except KeyError:
+            return lookup(node_ids)
+        except KeyError as exc:
             raise KeyError(
-                f"shard {self.shard_id} has no node {node_id!r}; the "
-                "coordinator must split a node before querying its children"
+                f"shard {self.shard_id} has no node {exc.args[0]!r} to count or "
+                "split; the coordinator must split a node before querying its "
+                "children, and split it only once"
             ) from None

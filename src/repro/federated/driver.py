@@ -41,7 +41,7 @@ from ..spatial.histogram_tree import HistogramTree
 from ..telemetry import get_registry, span as _span
 from .aggregator import SecureAggregator
 from .checkpoint import FitCheckpoint, restore_rng, rng_state
-from .collector import ROOT_NODE_ID, ShardCollector, child_node_id
+from .collector import NodeIds, ShardCollector
 from .errors import CheckpointError
 from .faults import FaultInjector
 
@@ -249,7 +249,7 @@ class FederatedPrivTree:
                 fault_injector, int(state["next_round"]), list(state["round_log"]),
             )
             rounds.replay(tree, [[str(i) for i in r] for r in state["split_rounds"]])
-            if [str(i) for i in state["level_ids"]] != rounds.frontier_ids:
+            if [str(i) for i in state["level_ids"]] != rounds.names.frontier:
                 raise CheckpointError(
                     "checkpoint frontier disagrees with its replayed split log"
                 )
@@ -288,7 +288,7 @@ class _RoundCounts:
     frontier nodes, then ``splits`` broadcasting the decision to every
     collector, after which the replay state is checkpointed; the leaves get
     one last ``counts`` round.  Nodes are named by their split path
-    (``v1.0.2…``, see :func:`~repro.federated.collector.child_node_id`).
+    (``v1.0.2…``, see :class:`~repro.federated.collector.NodeIds`).
     """
 
     driver: FederatedPrivTree
@@ -300,9 +300,8 @@ class _RoundCounts:
     next_round: int = 0
     round_log: list[dict] = field(default_factory=list)
     split_rounds: list[list[str]] = field(default_factory=list)
-    frontier_ids: list[str] = field(default_factory=lambda: [ROOT_NODE_ID])
-    ids: list[str] = field(default_factory=lambda: [ROOT_NODE_ID])  # BFS order
     n_eligible: int = 0
+    names: NodeIds = field(default_factory=NodeIds)
 
     def fit(self, tree: LevelTree) -> HistogramTree:
         """Run the level engine over aggregated counts; commit the finished fit."""
@@ -345,10 +344,11 @@ class _RoundCounts:
 
     def counts(self, eligible: np.ndarray) -> np.ndarray:
         self.n_eligible = len(eligible)
-        return self._round([self.frontier_ids[i] for i in eligible])
+        return self._round([self.names.frontier[i] for i in eligible])
 
     def split(self, parents: np.ndarray, dims, mids) -> None:
-        split_ids = self._advance(parents)
+        split_ids = self.names.split(parents, self.driver.fanout)
+        self.split_rounds.append(split_ids)
         round_index = self.next_round + 1
         with _span(
             "federated.round", round=round_index, kind="splits", n_nodes=len(split_ids)
@@ -364,24 +364,12 @@ class _RoundCounts:
         self.commit("grow")
 
     def leaf_counts(self, leaves: np.ndarray) -> np.ndarray:
-        exact = self._round([self.ids[i] for i in leaves])
+        exact = self._round([self.names.ids[i] for i in leaves])
         self.round_log.append(
             {"round": self.next_round, "kind": "counts", "n_nodes": len(leaves)}
         )
         self.next_round += 1
         return exact
-
-    def _advance(self, parents) -> list[str]:
-        """Name the children of frontier nodes ``parents``; return the parents' ids."""
-        split_ids = [self.frontier_ids[i] for i in parents]
-        self.frontier_ids = [
-            child_node_id(node_id, j)
-            for node_id in split_ids
-            for j in range(self.driver.fanout)
-        ]
-        self.ids.extend(self.frontier_ids)
-        self.split_rounds.append(split_ids)
-        return split_ids
 
     def replay(self, tree: LevelTree, split_rounds: list[list[str]]) -> None:
         """Regrow ``tree`` from a checkpoint's committed split decisions.
@@ -391,16 +379,14 @@ class _RoundCounts:
         level is a corrupt checkpoint.
         """
         for round_ids in split_rounds:
-            position = {node_id: i for i, node_id in enumerate(self.frontier_ids)}
             try:
-                parents = sorted({position[node_id] for node_id in round_ids})
+                parents = self.names.frontier_positions(round_ids)
             except KeyError as exc:
                 raise CheckpointError(
                     f"checkpoint split log references unknown node {exc.args[0]!r}"
                 ) from None
-            parents = np.array(parents, dtype=np.intp)
             tree.split(parents)
-            self._advance(parents)
+            self.split_rounds.append(self.names.split(parents, self.driver.fanout))
 
     def commit(self, phase: str) -> None:
         """Checkpoint the replay state of the last completed round."""
@@ -409,7 +395,7 @@ class _RoundCounts:
                 {
                     "phase": phase,
                     "next_round": self.next_round,
-                    "level_ids": list(self.frontier_ids) if phase == "grow" else [],
+                    "level_ids": self.names.frontier if phase == "grow" else [],
                     "split_rounds": [list(r) for r in self.split_rounds],
                     "rng": rng_state(self.gen),
                     "ledger": [[label, eps] for label, eps in self.accountant.ledger],
@@ -425,15 +411,13 @@ def replay_splits(
     """Replay committed splits onto *fresh* in-process collectors.
 
     An in-process resume rebuilds its collectors from the shard data, so
-    their payload trees must be grown back to the checkpointed frontier
+    their count windows must be grown back to the checkpointed frontier
     before the fit continues.  Splitting is deterministic in the parent
-    payload, so the replayed trees match the pre-crash ones exactly.  The
+    windows, so the replayed windows match the pre-crash ones exactly.  The
     TCP transport never needs this: its collectors are long-lived
-    processes that kept their trees (and their mask-stream positions).
+    processes that kept their windows (and their mask-stream positions).
     """
     for round_ids in split_rounds:
-        if not round_ids:
-            continue
         for collector in collectors:
             collector.apply_splits(round_ids)
 

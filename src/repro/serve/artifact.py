@@ -393,20 +393,18 @@ def _map_segment(path: Path, abs_offset: int, length: int, size: int) -> np.ndar
     return np.memmap(path, dtype=dtype, mode="r", shape=shape, offset=data_offset)
 
 
-def read_artifact(path: str | Path, *, verify: bool = True) -> Release:
+def read_artifact(path: str | Path) -> Release:
     """Load a v2 binary artifact into a flat-backed :class:`Release`.
 
     The arrays handed to the flat engines are read-only ``np.memmap``
     views of the file — no copy, no parse; the OS pages data in on first
-    touch and shares it across processes mapping the same file.  With
-    ``verify`` (the default) the sha256 footer is checked first, so a
-    truncated or bit-flipped artifact raises
-    :class:`ArtifactIntegrityError` instead of serving garbage.
+    touch and shares it across processes mapping the same file.  The
+    sha256 footer is always checked first: a truncated or bit-flipped
+    artifact raises :class:`ArtifactIntegrityError`, never serves garbage.
     """
     path = Path(path)
     header, data_start, size = _read_header(path)
-    if verify:
-        _verify_footer(path, size)
+    _verify_footer(path, size)
     codec = _CODECS.get(header.get("kind"))
     if codec is None:
         raise ArtifactError(f"unknown release kind {header.get('kind')!r}")

@@ -1,4 +1,5 @@
-"""The spatial node payload fed to the PrivTree / SimpleTree engines.
+"""The spatial node payload of SimpleTree, the Section 5 SVT quadtree and
+``privtree_decomposition`` (the array engine's structural reference).
 
 A :class:`SpatialNodeData` pairs a box with the points it contains.  Its
 score is the point count — exactly the ``c(v)`` of the paper — and splitting

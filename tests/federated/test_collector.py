@@ -1,5 +1,7 @@
 """Tests for the shard-side collector."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,25 @@ class TestShardCollector:
             collectors[0].blinded_counts(["v1.0"])
         with pytest.raises(KeyError, match="split a node before"):
             collectors[0].apply_splits(["v9"])
+        for c in collectors:
+            c.apply_splits([ROOT_NODE_ID])
+            c.apply_splits(["v1.1", "v1.2"])
+        # Off the frontier: an id of an already-split level, and a repeat of
+        # the last split list.  Both are refused before any window moves.
+        stale_splits = {"v1.3": ["v1.2.0", "v1.3"], "v1.1": ["v1.1", "v1.2"]}
+        for named, stale in stale_splits.items():
+            for c in collectors:
+                with pytest.raises(KeyError, match=re.escape(repr(named))):
+                    c.apply_splits(stale)
+        halves = uniform_2d.domain.bisect([0, 1])
+        ids = ["v1.0", "v1.3"] + [f"v1.{p}.{j}" for p in (1, 2) for j in range(4)]
+        boxes = [halves[0], halves[3]] + [
+            box for p in (1, 2) for box in halves[p].bisect([0, 1])
+        ]
+        counts = SecureAggregator(2).aggregate(
+            [c.blinded_counts(ids) for c in collectors]
+        )
+        assert counts.tolist() == [b.count_points(uniform_2d.points) for b in boxes]
 
     def test_empty_shard_participates(self):
         # A collector with zero points still answers every round (its counts

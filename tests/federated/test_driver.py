@@ -167,6 +167,21 @@ class TestValidation:
             )
 
 
+def _box_of(node_id, domain, dims_per_split):
+    """The box a path id names, walked from ``domain`` with ``Box.bisect``.
+
+    Pure geometry: each ``.rank`` step bisects the next ``dims_per_split``
+    dimensions round-robin and takes that child, so the recomputed counts
+    never read the collector under test.
+    """
+    box = domain
+    for depth, rank in enumerate(node_id.split(".")[1:]):
+        first = depth * dims_per_split
+        dims = [(first + j) % domain.ndim for j in range(dims_per_split)]
+        box = box.bisect(dims)[int(rank)]
+    return box
+
+
 class _WireTap(ShardCollector):
     """A collector that records everything it puts on the wire."""
 
@@ -197,15 +212,23 @@ class TestNoRawCountExposure:
         central = _privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
         assert tree_to_dict(tree) == tree_to_dict(central)
 
+        raws = []
         for tap, shard in zip(taps, shards):
             assert tap.emitted, "the protocol must have run rounds"
+            raws.append([])
             for node_ids, share in zip(tap.queried, tap.emitted):
+                boxes = [
+                    _box_of(node_id, shard.domain, tap.dims_per_split)
+                    for node_id in node_ids
+                ]
                 raw = np.array(
-                    [
-                        int(tap._lookup(node_id).score())
-                        for node_id in node_ids
-                    ],
+                    [box.count_points(shard.points) for box in boxes],
                     dtype=MASK_DTYPE,
                 )
+                raws[-1].append(raw)
                 assert share.dtype == MASK_DTYPE
                 assert not np.any(share == raw)
+        # The recount is the collectors' own: per round, the shares and the
+        # raw counts sum to the same exact aggregate (the masks cancel).
+        for shares, raw in zip(zip(*(t.emitted for t in taps)), zip(*raws)):
+            assert np.array_equal(sum(shares), sum(raw))

@@ -12,14 +12,15 @@ from repro.domains import Box
 from repro.serve import ReleaseStore, write_artifact
 from repro.spatial import FlatHistogram, HistogramNode, HistogramTree
 from repro.spatial.engine import LevelTree
-from repro.spatial.payload import partition_windows
+from repro.spatial.payload import SpatialNodeData, partition_windows
 
 
 @pytest.fixture()
 def constructions(monkeypatch):
-    """Counts every ``TreeNode`` and ``HistogramNode`` built while active."""
-    built = {"TreeNode": 0, "HistogramNode": 0}
-    for cls in (TreeNode, HistogramNode):
+    """Counts every ``TreeNode``, ``HistogramNode`` and ``SpatialNodeData``
+    built while active."""
+    built = {"TreeNode": 0, "HistogramNode": 0, "SpatialNodeData": 0}
+    for cls in (TreeNode, HistogramNode, SpatialNodeData):
         original = cls.__init__
 
         def counting_init(self, *args, _original=original, _name=cls.__name__, **kw):
@@ -40,7 +41,9 @@ class TestNoPointerNodes:
         ReleaseStore(tmp_path / "store").put(central)
         write_artifact(federated, tmp_path / "federated.bin")
         assert central.size > 100
-        assert constructions == {"TreeNode": 0, "HistogramNode": 0}
+        assert constructions == {
+            "TreeNode": 0, "HistogramNode": 0, "SpatialNodeData": 0
+        }
 
     def test_reading_root_builds_the_pointer_tree_once(self, constructions):
         release = from_spec("privtree", epsilon=1.0).fit(roadlike(2000, rng=0), rng=1)
